@@ -120,6 +120,8 @@ def _read_netpbm(path: str | Path, magic: bytes) -> np.ndarray:
         fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise NetpbmError(f"{path}: empty image ({width}x{height})")
     if maxval != 255:
         raise NetpbmError(f"{path}: only 8-bit files supported, maxval={maxval}")
     channels = 3 if magic == b"P6" else 1

@@ -237,6 +237,7 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
 # ----------------------------------------------------------------------
 
 _STAGE_FIELDS = [f.name for f in fields(StageConfig)]
+_STAGE_SECTIONS = {f"stage{i}": i - 1 for i in range(1, 5)}
 _HAM_FIELDS = [f.name for f in fields(HamConfig)]
 
 
@@ -299,8 +300,8 @@ def config_from_flat(entries: dict[str, str], base: ModelConfig | None = None) -
         try:
             if section == "model" and name in ("num_classes", "input_size", "seed"):
                 model_kw[name] = int(value)
-            elif section.startswith("stage") and name in _STAGE_FIELDS:
-                stages[int(section[5:]) - 1][name] = int(value)
+            elif section in _STAGE_SECTIONS and name in _STAGE_FIELDS:
+                stages[_STAGE_SECTIONS[section]][name] = int(value)
             elif section == "cbam" and name in ("reductions", "kernels"):
                 model_kw["cbam_" + name] = tuple(int(v) for v in value.split(","))
             elif section == "ham" and name in _HAM_FIELDS:
@@ -398,7 +399,7 @@ def checkpoint_load(data: bytes, expected_config: ModelConfig | None = None) -> 
     (cfg_len,) = r.unpack("<I")
     try:
         cfg = config_from_flat(parse_flat_text(r.take(cfg_len).decode("utf-8")))
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"embedded config invalid: {exc}") from None
     if expected_config is not None and cfg != expected_config:
         raise CheckpointError("checkpoint config does not match the expected config")
@@ -411,7 +412,10 @@ def checkpoint_load(data: bytes, expected_config: ModelConfig | None = None) -> 
                               f"model has {len(registry)}")
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("parameter name is not valid UTF-8") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         if name not in registry:

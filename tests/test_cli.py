@@ -120,6 +120,20 @@ class TestEval:
         bad.write_bytes(bytes(blob))
         assert main(["eval", "--ckpt", str(bad), "--data", str(data_dir)]) == 2
 
+    def test_undecodable_checkpoint_config_is_io_error(self, workspace, tmp_path, capsys):
+        import hashlib
+        _, data_dir, _, ckpt = workspace
+        blob = bytearray(ckpt.read_bytes())
+        blob[12] = 0xFF  # first byte of the embedded config text
+        body = bytes(blob[:-8])
+        bad = tmp_path / "undecodable.ckpt"
+        bad.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad), "--data", str(data_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_empty_split_is_validation_error(self, workspace, tmp_path):
         root, data_dir, _, ckpt = workspace
         empty = tmp_path / "emptyset"

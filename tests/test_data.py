@@ -85,6 +85,15 @@ class TestNetpbm:
         with pytest.raises(NetpbmError, match="8-bit"):
             D.read_pgm(path)
 
+    @pytest.mark.parametrize("magic,size", [(b"P5", b"0 0"), (b"P5", b"3 0"),
+                                            (b"P6", b"0 0"), (b"P6", b"0 2")])
+    def test_zero_sized_image_rejected(self, tmp_path, magic, size):
+        path = tmp_path / "empty.img"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n")
+        read = D.read_ppm if magic == b"P6" else D.read_pgm
+        with pytest.raises(NetpbmError, match="empty"):
+            read(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(NetpbmError, match="nope.ppm"):
             D.read_ppm(tmp_path / "nope.ppm")

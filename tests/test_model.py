@@ -250,6 +250,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             checkpoint_load(blob)
 
+    @staticmethod
+    def _resealed(blob: bytearray) -> bytes:
+        import hashlib
+        body = bytes(blob[:-8])
+        return body + hashlib.sha256(body).digest()[:8]
+
+    def test_undecodable_config_bytes_rejected(self):
+        blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
+        blob[12] = 0xFF  # first config byte, after magic, version and length
+        with pytest.raises(CheckpointError, match="config"):
+            checkpoint_load(self._resealed(blob))
+
+    def test_undecodable_parameter_name_rejected(self):
+        blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        blob[12 + cfg_len + 4 + 2] = 0xFF  # after the count and the name length
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            checkpoint_load(self._resealed(blob))
+
     def test_expected_config_enforced(self):
         blob = checkpoint_save(ArmFormer(toy_config(seed=1)))
         with pytest.raises(CheckpointError, match="config"):
@@ -272,6 +291,17 @@ class TestConfigText:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_flat({"model.bogus": "1"})
+
+    @pytest.mark.parametrize("section", ["stage0", "stage5", "stage-2", "stage01"])
+    def test_stage_section_out_of_range_rejected(self, section):
+        with pytest.raises(ConfigError, match=section):
+            config_from_flat({f"{section}.depth": "1"})
+
+    def test_stage_sections_map_to_their_stage(self):
+        cfg = config_from_flat({"stage1.depth": "5", "stage4.depth": "7"})
+        base = ModelConfig.default()
+        assert [s.depth for s in cfg.stages] == [5, base.stages[1].depth,
+                                                 base.stages[2].depth, 7]
 
     def test_comments_and_blank_lines(self):
         entries = parse_flat_text("# comment\n\nmodel.seed = 7  # inline\n")

@@ -5,6 +5,7 @@ import pytest
 
 from armformer import tensor as T
 from armformer.errors import ContractError, ShapeError
+from armformer.gradcheck import grad_check
 from armformer.tensor import Tensor
 
 
@@ -389,3 +390,87 @@ class TestBackward:
         out = T.gelu(T.conv2d(x, w, padding=1))
         out = T.softmax(out, axis=1)
         assert np.all(np.isfinite(out.data))
+
+
+# ----------------------------------------------------------------------
+# kernel contracts of the allocation-light gelu, softmax and 1x1 conv
+# ----------------------------------------------------------------------
+
+def _im2col_pointwise(x, w, b, groups):
+    """A 1x1, stride-1 conv computed through the generic im2col route."""
+    cols, oh, ow = T._im2col(x, 1, 1, 1, 0)
+    n, cin = x.shape[:2]
+    cout = w.shape[0]
+    w_g = w.reshape(groups, cout // groups, cin // groups)
+    out = np.matmul(w_g, cols.reshape(n, groups, cin // groups, oh * ow))
+    out = out.reshape(n, cout, oh, ow)
+    return out if b is None else out + b.reshape(1, cout, 1, 1)
+
+
+class TestKernelContracts:
+    @pytest.fixture
+    def im2col_calls(self, monkeypatch):
+        calls = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        return calls
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("op", ["gelu", "softmax", "conv1x1", "conv3x3"])
+    def test_input_data_unchanged(self, op, grad):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=grad)
+        w = Tensor(rng.normal(size=(6, 2, 1, 1) if op == "conv1x1" else (6, 2, 3, 3)),
+                   requires_grad=grad)
+        b = Tensor(rng.normal(size=(6,)), requires_grad=grad)
+        before = {name: t.data.tobytes() for name, t in (("x", x), ("w", w), ("b", b))}
+        run = {"gelu": lambda: T.gelu(x),
+               "softmax": lambda: T.softmax(x, axis=1),
+               "conv1x1": lambda: T.conv2d(x, w, b, groups=2),
+               "conv3x3": lambda: T.conv2d(x, w, b, padding=1, groups=2)}[op]
+        out = run()
+        if grad:
+            (out * out).sum().backward()
+        assert not np.shares_memory(out.data, x.data)
+        for name, t in (("x", x), ("w", w), ("b", b)):
+            assert t.data.tobytes() == before[name], name
+
+    def test_gelu_closed_form_including_tails(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        c = math.sqrt(2 / math.pi)
+        expect = 0.5 * x * (1 + np.tanh(c * (x + 0.044715 * x ** 3)))
+        got = T.gelu(Tensor(x)).data
+        assert np.allclose(got, expect, rtol=4 * np.finfo(np.float64).eps, atol=1e-15)
+        assert got[0] == 0.0 and got[-1] == 30.0
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_pointwise_conv_equals_im2col_route(self, im2col_calls, groups, with_bias):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 4, 3, 5))
+        w = rng.normal(size=(6, 4 // groups, 1, 1))
+        b = rng.normal(size=(6,)) if with_bias else None
+        out = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), groups=groups)
+        assert im2col_calls == []
+        assert np.array_equal(out.data, _im2col_pointwise(x, w, b, groups))
+        assert np.allclose(out.data, conv2d_oracle(x, w, b, groups=groups), atol=1e-12)
+
+    def test_strided_pointwise_conv_keeps_im2col(self, im2col_calls):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(1, 4, 5, 6))
+        w = rng.normal(size=(4, 2, 1, 1))
+        b = rng.normal(size=(4,))
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, groups=2)
+        assert len(im2col_calls) == 1
+        assert out.shape == (1, 4, 3, 3)
+        assert np.allclose(out.data, conv2d_oracle(x, w, b, stride=2, groups=2), atol=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_pointwise_conv_gradcheck(self, groups):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.uniform(-1, 1, size=(2, 4, 3, 3)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(6, 4 // groups, 1, 1)), requires_grad=True)
+        b = Tensor(rng.uniform(-1, 1, size=(6,)), requires_grad=True)
+        report = grad_check(lambda: T.gelu(T.conv2d(x, w, b, groups=groups)).sum(),
+                            {"x": x, "w": w, "b": b}, epsilon=1e-3, tolerance=1e-4)
+        assert report.passed, str(report)
