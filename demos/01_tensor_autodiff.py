@@ -11,7 +11,7 @@ from armformer.tensor import Tensor
 
 print("=== building blocks ===")
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-w = Tensor.uniform((2, 2), rng=7, lo=-1, hi=1, requires_grad=True)
+w = Tensor(np.random.default_rng(7).uniform(-1, 1, size=(2, 2)), requires_grad=True)
 print("x =\n", x.data)
 print("w (seeded uniform) =\n", w.data)
 

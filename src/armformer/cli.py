@@ -10,19 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
-from . import tensor as T
-from .decoder import HamConfig, HamDecoder
-from .encoder import FeaturePyramid, MitEncoder, StageConfig
 from .errors import (ArmFormerError, CheckpointError, ContractError,
                      DataError, NetpbmError)
-from .gradcheck import grad_check, rescale_for_check
+from .gradcheck import gradient_suites
 from .metrics import ConfusionMatrix, compute_metrics, format_report, report_lines
-from .model import (ArmFormer, ModelConfig, checkpoint_load,
-                    checkpoint_save, config_from_flat, fit, parse_flat_text,
-                    schedule_from_flat)
+from .model import (ArmFormer, checkpoint_load, checkpoint_save, config_from_flat,
+                    fit, parse_flat_text, schedule_from_flat)
 from .profiler import count_flops, measure_fps
 from .tensor import Tensor
 
@@ -179,10 +173,7 @@ def _cmd_infer(args) -> int:
     image = D.read_ppm(args.image)
     h0, w0 = image.shape[:2]
     size = model.config.input_size
-    chw = image.transpose(2, 0, 1).astype(np.float64) / 255.0
-    if (h0, w0) != (size, size):
-        chw = D.resize_image(chw, size, size)
-    pred = model.predict(Tensor(chw[None]))[0]
+    pred = model.predict(Tensor(D.image_to_input(image, size)[None]))[0]
     if (h0, w0) != (size, size):
         pred = D.resize_nearest(pred, h0, w0)
     D.write_pgm(args.out, D.encode_mask(pred))
@@ -209,105 +200,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _gradient_suites(level: str):
-    """Yield (name, GradCheckReport) for each verification suite."""
-    rng = np.random.default_rng
-
-    def op_suite():
-        x = Tensor(rng(0).uniform(-1, 1, size=(2, 3, 6, 6)), requires_grad=True)
-        w = Tensor(rng(1).uniform(-1, 1, size=(4, 3, 3, 3)), requires_grad=True)
-        g = Tensor(rng(2).uniform(0.5, 1.5, size=(6,)), requires_grad=True)
-        b = Tensor(rng(3).uniform(-1, 1, size=(6,)), requires_grad=True)
-
-        def fn():
-            y = T.conv2d(x, w, stride=1, padding=1)
-            y = T.gelu(y)
-            y = T.bilinear_resize(y, 5, 7)
-            y = T.concat([T.reduce_channel(y, "avg"), T.reduce_channel(y, "max")], axis=1)
-            y = T.pool2d(y, "max", window=(2, 2, 1))
-            z = T.softmax(y.reshape(2, 2, 24), axis=-1).reshape(2, 8, 6)
-            z = T.layer_norm(z, g, b)
-            return (T.sigmoid(z) * z).sum()
-
-        return grad_check(fn, {"x": x, "w": w, "gamma": g, "beta": b})
-
-    def cbam_suite():
-        from .cbam import CBAM
-        block = CBAM(4, rng(4), reduction=2, kernel=3)
-        rescale_for_check(block, seed=5)
-        x = Tensor(rng(6).uniform(-1, 1, size=(2, 4, 5, 5)), requires_grad=True)
-        params = dict(block.named_parameters())
-        params["input"] = x
-
-        def fn():
-            out, _ = block(x)
-            return (out * out).sum()
-
-        return grad_check(fn, params)
-
-    def stage_suite():
-        cfg = StageConfig(6, 1, 2, 2, patch_kernel=7, patch_stride=4, patch_padding=3)
-        enc = MitEncoder((cfg, StageConfig(8, 1, 2, 2, 3, 2, 1),
-                          StageConfig(12, 1, 2, 1, 3, 2, 1),
-                          StageConfig(16, 1, 2, 1, 3, 2, 1)),
-                         rng(7), (16,) * 4, (7,) * 4)
-        stage = enc.stages[0]
-        rescale_for_check(stage, seed=8)
-        x = Tensor(rng(9).uniform(-1, 1, size=(1, 3, 32, 32)), requires_grad=True)
-        params = dict(stage.named_parameters())
-        params["input"] = x
-
-        def fn():
-            out = stage(x)
-            return (out * out).sum()
-
-        return grad_check(fn, params, max_coords_per_param=6)
-
-    def decoder_suite():
-        ham = HamConfig(rank=8, iterations=2, context_channels=16)
-        dec = HamDecoder((8, 16, 24, 32), 6, ham, rng(10))
-        rescale_for_check(dec, seed=11)
-        r = rng(12)
-        feats = [Tensor(r.uniform(-1, 1, size=(1, c, 8 // 2 ** i, 8 // 2 ** i)),
-                        requires_grad=True)
-                 for i, c in enumerate((8, 16, 24, 32))]
-        params = dict(dec.named_parameters())
-        params.update({f"pyramid.f{i + 1}": f for i, f in enumerate(feats)})
-
-        def fn():
-            out = dec(FeaturePyramid(*feats))
-            return (out * out).mean()
-
-        return grad_check(fn, params, max_coords_per_param=5)
-
-    def model_suite():
-        from .model import REDUCED_STAGES
-        cfg = ModelConfig(stages=REDUCED_STAGES, input_size=32,
-                          ham=HamConfig(rank=4, iterations=2, context_channels=64))
-        model = ArmFormer(cfg)
-        rescale_for_check(model, seed=13)
-        x = Tensor(rng(14).uniform(0, 1, size=(1, 3, 32, 32)), requires_grad=True)
-        labels = rng(15).integers(0, cfg.num_classes, size=(1, 32, 32))
-        params = dict(model.named_parameters())
-        params["input"] = x
-
-        def fn():
-            return T.softmax_cross_entropy(model(x), labels)
-
-        return grad_check(fn, params, max_coords_per_param=4)
-
-    yield "primitive-ops", op_suite()
-    yield "cbam-block", cbam_suite()
-    yield "encoder-stage", stage_suite()
-    yield "decoder", decoder_suite()
-    if level == "full":
-        yield "end-to-end-reduced", model_suite()
-
-
 def _cmd_gradcheck(args) -> int:
     worst = 0.0
     failed = False
-    for name, report in _gradient_suites(args.level):
+    for name, report in gradient_suites(args.level):
         state = "PASS" if report.passed else "FAIL"
         print(f"{name:<20s} {state}  max_rel_err={report.max_rel_error:.3e} "
               f"({report.checked_coords} coords)")
@@ -336,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NetpbmError, CheckpointError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NetpbmError, CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except ArmFormerError as exc:

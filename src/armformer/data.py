@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NetpbmError
-from .tensor import _resize_weights
+from .tensor import _bilinear
 
 # class id -> (name, mask gray value)
 PALETTE: tuple[tuple[int, str, int], ...] = (
@@ -168,10 +168,7 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
 
 def resize_image(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of a float [C, H, W] array (half-pixel centers)."""
-    _, h, w = image.shape
-    wr = np.eye(h) if out_h == h else _resize_weights(h, out_h)
-    wc = np.eye(w) if out_w == w else _resize_weights(w, out_w)
-    return wr @ image @ wc.T
+    return _bilinear(image, out_h, out_w)[0]
 
 
 def resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -180,6 +177,14 @@ def resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     rows = np.minimum((np.arange(out_h) + 0.5) * h / out_h, h - 1).astype(int)
     cols = np.minimum((np.arange(out_w) + 0.5) * w / out_w, w - 1).astype(int)
     return grid[rows][:, cols]
+
+
+def image_to_input(image: np.ndarray, size: int) -> np.ndarray:
+    """Turn a uint8 [H, W, 3] image into float64 [3, size, size] model input in [0, 1]."""
+    chw = image.transpose(2, 0, 1).astype(np.float64) / 255.0
+    if image.shape[:2] != (size, size):
+        chw = resize_image(chw, size, size)
+    return chw
 
 
 def load_sample(image_path: str | Path, mask_path: str | Path,
@@ -194,11 +199,9 @@ def load_sample(image_path: str | Path, mask_path: str | Path,
     if image.shape[:2] != mask.shape:
         raise DataError(f"image {image.shape[:2]} and mask {mask.shape} "
                         f"dimensions differ for {image_path}")
-    chw = image.transpose(2, 0, 1).astype(np.float64) / 255.0
-    if image.shape[0] != target_size or image.shape[1] != target_size:
-        chw = resize_image(chw, target_size, target_size)
+    if mask.shape != (target_size, target_size):
         mask = resize_nearest(mask, target_size, target_size)
-    return chw, decode_mask(mask)
+    return image_to_input(image, target_size), decode_mask(mask)
 
 
 # ----------------------------------------------------------------------

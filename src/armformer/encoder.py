@@ -104,7 +104,7 @@ class EfficientSelfAttention(Module):
         b, n, c = t.shape
         return t.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def __call__(self, tokens: Tensor, h: int, w: int, return_attn: bool = False):
+    def __call__(self, tokens: Tensor, h: int, w: int) -> Tensor:
         b, n, c = tokens.shape
         if n != h * w:
             raise ShapeError(f"token count {n} does not match {h}x{w}")
@@ -118,8 +118,7 @@ class EfficientSelfAttention(Module):
         v = self._split_heads(self.v(kv_src))
         attn = T.softmax(T.matmul(q, k.transpose(0, 1, 3, 2)) * self.scale, axis=-1)
         out = T.matmul(attn, v).transpose(0, 2, 1, 3).reshape(b, n, c)
-        out = self.proj(out)
-        return (out, attn) if return_attn else out
+        return self.proj(out)
 
 
 class MixFFN(Module):

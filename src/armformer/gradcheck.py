@@ -14,7 +14,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import tensor as T
+from .cbam import CBAM
+from .decoder import HamConfig, HamDecoder
+from .encoder import FeaturePyramid, MitEncoder, StageConfig
 from .errors import ContractError
+from .model import REDUCED_STAGES, ArmFormer, ModelConfig
 from .tensor import Tensor, no_grad
 
 
@@ -133,3 +138,95 @@ def grad_check(fn: Callable[[], Tensor],
             report.checked_coords += 1
         report.per_param[name] = worst
     return report
+
+
+def gradient_suites(level: str):
+    """Yield (name, GradCheckReport) for each suite that ``armformer gradcheck`` runs."""
+    rng = np.random.default_rng
+
+    def op_suite():
+        x = Tensor(rng(0).uniform(-1, 1, size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng(1).uniform(-1, 1, size=(4, 3, 3, 3)), requires_grad=True)
+        g = Tensor(rng(2).uniform(0.5, 1.5, size=(6,)), requires_grad=True)
+        b = Tensor(rng(3).uniform(-1, 1, size=(6,)), requires_grad=True)
+
+        def fn():
+            y = T.conv2d(x, w, stride=1, padding=1)
+            y = T.gelu(y)
+            y = T.bilinear_resize(y, 4, 6)
+            y = T.concat([T.reduce_channel(y, "avg"), T.reduce_channel(y, "max")], axis=1)
+            z = T.softmax(y.reshape(2, 2, 24), axis=-1).reshape(2, 8, 6)
+            z = T.layer_norm(z, g, b)
+            return (T.sigmoid(z) * z).sum()
+
+        return grad_check(fn, {"x": x, "w": w, "gamma": g, "beta": b})
+
+    def cbam_suite():
+        block = CBAM(4, rng(4), reduction=2, kernel=3)
+        rescale_for_check(block, seed=5)
+        x = Tensor(rng(6).uniform(-1, 1, size=(2, 4, 5, 5)), requires_grad=True)
+        params = dict(block.named_parameters())
+        params["input"] = x
+
+        def fn():
+            out, _ = block(x)
+            return (out * out).sum()
+
+        return grad_check(fn, params)
+
+    def stage_suite():
+        cfg = StageConfig(6, 1, 2, 2, patch_kernel=7, patch_stride=4, patch_padding=3)
+        enc = MitEncoder((cfg, StageConfig(8, 1, 2, 2, 3, 2, 1),
+                          StageConfig(12, 1, 2, 1, 3, 2, 1),
+                          StageConfig(16, 1, 2, 1, 3, 2, 1)),
+                         rng(7), (16,) * 4, (7,) * 4)
+        stage = enc.stages[0]
+        rescale_for_check(stage, seed=8)
+        x = Tensor(rng(9).uniform(-1, 1, size=(1, 3, 32, 32)), requires_grad=True)
+        params = dict(stage.named_parameters())
+        params["input"] = x
+
+        def fn():
+            out = stage(x)
+            return (out * out).sum()
+
+        return grad_check(fn, params, max_coords_per_param=6)
+
+    def decoder_suite():
+        ham = HamConfig(rank=8, iterations=2, context_channels=16)
+        dec = HamDecoder((8, 16, 24, 32), 6, ham, rng(10))
+        rescale_for_check(dec, seed=11)
+        r = rng(12)
+        feats = [Tensor(r.uniform(-1, 1, size=(1, c, 8 // 2 ** i, 8 // 2 ** i)),
+                        requires_grad=True)
+                 for i, c in enumerate((8, 16, 24, 32))]
+        params = dict(dec.named_parameters())
+        params.update({f"pyramid.f{i + 1}": f for i, f in enumerate(feats)})
+
+        def fn():
+            out = dec(FeaturePyramid(*feats))
+            return (out * out).mean()
+
+        return grad_check(fn, params, max_coords_per_param=5)
+
+    def model_suite():
+        cfg = ModelConfig(stages=REDUCED_STAGES, input_size=32,
+                          ham=HamConfig(rank=4, iterations=2, context_channels=64))
+        model = ArmFormer(cfg)
+        rescale_for_check(model, seed=13)
+        x = Tensor(rng(14).uniform(0, 1, size=(1, 3, 32, 32)), requires_grad=True)
+        labels = rng(15).integers(0, cfg.num_classes, size=(1, 32, 32))
+        params = dict(model.named_parameters())
+        params["input"] = x
+
+        def fn():
+            return T.softmax_cross_entropy(model(x), labels)
+
+        return grad_check(fn, params, max_coords_per_param=4)
+
+    yield "primitive-ops", op_suite()
+    yield "cbam-block", cbam_suite()
+    yield "encoder-stage", stage_suite()
+    yield "decoder", decoder_suite()
+    if level == "full":
+        yield "end-to-end-reduced", model_suite()

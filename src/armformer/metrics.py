@@ -40,12 +40,6 @@ class ConfusionMatrix:
             ).reshape(self.num_classes, self.num_classes)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ContractError("class counts differ")
-        self.counts += other.counts
-        return self
-
     def total(self) -> int:
         return int(self.counts.sum())
 

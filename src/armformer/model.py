@@ -239,6 +239,7 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
 _STAGE_FIELDS = [f.name for f in fields(StageConfig)]
 _STAGE_SECTIONS = {f"stage{i}": i - 1 for i in range(1, 5)}
 _HAM_FIELDS = [f.name for f in fields(HamConfig)]
+_SCHEDULE_FIELDS = [f.name for f in fields(TrainSchedule)]
 
 
 def config_to_text(cfg: ModelConfig) -> str:
@@ -322,7 +323,7 @@ def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> Tra
         section, _, name = key.partition(".")
         if section != "train":
             continue
-        if not hasattr(sched, name):
+        if name not in _SCHEDULE_FIELDS:
             raise ConfigError(f"unknown schedule key {key!r}")
         try:
             setattr(sched, name, _coerce(value, getattr(sched, name)))

@@ -40,10 +40,6 @@ class no_grad:
         return False
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -83,12 +79,6 @@ class Tensor:
         return cls(np.full(_check_shape(shape), float(value)), requires_grad)
 
     @classmethod
-    def uniform(cls, shape: Sequence[int], rng: int | np.random.Generator,
-                lo: float = -1.0, hi: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        data = _as_rng(rng).uniform(lo, hi, size=_check_shape(shape))
-        return cls(data, requires_grad)
-
-    @classmethod
     def trunc_normal(cls, shape: Sequence[int], rng: int | np.random.Generator,
                      std: float = 0.02, requires_grad: bool = False) -> "Tensor":
         # Standard normal with resampling of the ~4.6% of draws beyond 2 std.
@@ -122,9 +112,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -383,8 +370,8 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # Split by sign to avoid exp overflow on large |x|.
     d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                    np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    data = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         x._accumulate(g * data * (1.0 - data))
@@ -415,13 +402,6 @@ def gelu(x: Tensor) -> Tensor:
         x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner))
 
     return _make(data, (x,), "gelu", backward)
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    try:
-        return {"sigmoid": sigmoid, "relu": relu, "gelu": gelu}[kind](x)
-    except KeyError:
-        raise ContractError(f"unknown activation kind {kind!r}") from None
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -540,50 +520,30 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     return _make(out, parents, "conv2d", backward)
 
 
-def pool2d(x: Tensor, kind: str, window: tuple[int, int, int] | None = None) -> Tensor:
-    """Average or max pooling; ``window=None`` pools globally to B,C,1,1."""
+def _avg_or_max(x: Tensor, kind: str, axis, op: str) -> Tensor:
+    """Mean or max over ``axis``, kept as size 1; a max gradient splits evenly among ties."""
+    if kind == "avg":
+        data = x.data.mean(axis=axis, keepdims=True)
+
+        def backward(g):
+            x._accumulate(np.broadcast_to(g / (x.size // data.size), x.shape).copy())
+    else:
+        data = x.data.max(axis=axis, keepdims=True)
+
+        def backward(g):
+            mask = (x.data == data)
+            x._accumulate(g * mask / mask.sum(axis=axis, keepdims=True))
+
+    return _make(data, (x,), op, backward)
+
+
+def pool2d(x: Tensor, kind: str) -> Tensor:
+    """Global average or max pooling to B,C,1,1."""
     if kind not in ("avg", "max"):
         raise ContractError(f"unknown pool kind {kind!r}")
     if x.ndim != 4:
         raise ShapeError("pool2d expects x[B,C,H,W]")
-
-    if window is None:
-        if kind == "avg":
-            data = x.data.mean(axis=(2, 3), keepdims=True)
-
-            def backward(g):
-                n = x.shape[2] * x.shape[3]
-                x._accumulate(np.broadcast_to(g / n, x.shape).copy())
-        else:
-            data = x.data.max(axis=(2, 3), keepdims=True)
-
-            def backward(g):
-                mask = (x.data == data)
-                count = mask.sum(axis=(2, 3), keepdims=True)
-                x._accumulate(g * mask / count)
-
-        return _make(data, (x,), f"pool_{kind}_global", backward)
-
-    kh, kw, stride = window
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, 0)
-    b, c = x.shape[:2]
-    win = cols.reshape(b, c, kh * kw, oh, ow)
-    if kind == "avg":
-        data = win.mean(axis=2)
-
-        def backward(g):
-            dcols = np.broadcast_to(g[:, :, None] / (kh * kw), win.shape)
-            x._accumulate(_col2im(dcols.reshape(cols.shape), x.shape, stride, 0))
-    else:
-        idx = win.argmax(axis=2)
-        data = np.take_along_axis(win, idx[:, :, None], axis=2)[:, :, 0]
-
-        def backward(g):
-            dcols = np.zeros_like(win)
-            np.put_along_axis(dcols, idx[:, :, None], g[:, :, None], axis=2)
-            x._accumulate(_col2im(dcols.reshape(cols.shape), x.shape, stride, 0))
-
-    return _make(data, (x,), f"pool_{kind}_window", backward)
+    return _avg_or_max(x, kind, (2, 3), f"pool_{kind}_global")
 
 
 def reduce_channel(x: Tensor, kind: str) -> Tensor:
@@ -592,20 +552,7 @@ def reduce_channel(x: Tensor, kind: str) -> Tensor:
         raise ContractError(f"unknown reduce kind {kind!r}")
     if x.ndim != 4:
         raise ShapeError("reduce_channel expects x[B,C,H,W]")
-    if kind == "avg":
-        data = x.data.mean(axis=1, keepdims=True)
-
-        def backward(g):
-            x._accumulate(np.broadcast_to(g / x.shape[1], x.shape).copy())
-    else:
-        data = x.data.max(axis=1, keepdims=True)
-
-        def backward(g):
-            mask = (x.data == data)
-            count = mask.sum(axis=1, keepdims=True)
-            x._accumulate(g * mask / count)
-
-    return _make(data, (x,), f"reduce_{kind}", backward)
+    return _avg_or_max(x, kind, 1, f"reduce_{kind}")
 
 
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
@@ -623,16 +570,21 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
     return w
 
 
+def _bilinear(x: np.ndarray, out_h: int, out_w: int):
+    """Bilinear resize of the last two axes; also returns the row and column weights."""
+    h, w = x.shape[-2:]
+    wr = np.eye(h) if out_h == h else _resize_weights(h, out_h)
+    wc = np.eye(w) if out_w == w else _resize_weights(w, out_w)
+    return wr @ x @ wc.T, wr, wc
+
+
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Differentiable bilinear resize with half-pixel centers."""
     if x.ndim != 4:
         raise ShapeError("bilinear_resize expects x[B,C,H,W]")
     if out_h < 1 or out_w < 1:
         raise ShapeError("output size must be >= 1")
-    h, w = x.shape[2], x.shape[3]
-    wr = np.eye(h) if out_h == h else _resize_weights(h, out_h)
-    wc = np.eye(w) if out_w == w else _resize_weights(w, out_w)
-    data = wr @ x.data @ wc.T
+    data, wr, wc = _bilinear(x.data, out_h, out_w)
 
     def backward(g):
         x._accumulate(wr.T @ g @ wc)

@@ -93,6 +93,18 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "x.ckpt")]) == 3
 
+    @pytest.mark.parametrize("name", ["validate", "__class__"])
+    def test_non_field_schedule_key_is_validation_error(self, workspace, tmp_path,
+                                                         capsys, name):
+        _, data_dir, _, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model.preset = reduced\ntrain.{name} = 1\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"train.{name}" in err[0]
+
     def test_steps_override(self, workspace, tmp_path):
         _, data_dir, config, _ = workspace
         out = tmp_path / "short.ckpt"

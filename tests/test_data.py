@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from armformer import data as D
+from armformer import tensor as T
 from armformer.errors import ConfigError, DataError, NetpbmError
+from armformer.tensor import Tensor
 
 
 class TestPalette:
@@ -97,6 +99,18 @@ class TestNetpbm:
     def test_missing_file(self, tmp_path):
         with pytest.raises(NetpbmError, match="nope.ppm"):
             D.read_ppm(tmp_path / "nope.ppm")
+
+
+class TestResizeImage:
+    def test_matches_bilinear_resize_op(self):
+        img = np.random.default_rng(5).uniform(0, 1, size=(3, 12, 20))
+        for h, w in ((7, 31), (24, 20), (12, 9)):
+            expect = T.bilinear_resize(Tensor(img[None]), h, w).data[0]
+            assert np.array_equal(D.resize_image(img, h, w), expect)
+
+    def test_same_size_returns_input_unchanged(self):
+        img = np.random.default_rng(6).uniform(0, 1, size=(3, 10, 14))
+        assert np.array_equal(D.resize_image(img, 10, 14), img)
 
 
 class TestLoadSample:

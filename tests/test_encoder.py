@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from armformer import tensor as T
 from armformer.encoder import (DEFAULT_STAGES, EfficientSelfAttention, MitEncoder,
                                MixFFN, OverlapPatchEmbed, StageConfig)
 from armformer.errors import ConfigError, ShapeError
@@ -62,10 +63,19 @@ class TestAttention:
         out = attn(tokens, 1, 1)
         assert np.allclose(out.data, tokens.data, atol=1e-12)
 
-    def test_rows_are_probability_distributions(self):
+    def test_rows_are_probability_distributions(self, monkeypatch):
         attn = EfficientSelfAttention(8, heads=2, sr_ratio=2, rng=rng(5))
         tokens = Tensor(rng(6).normal(size=(2, 16, 8)))
-        _, weights = attn(tokens, 4, 4, return_attn=True)
+        captured = []
+        softmax = T.softmax
+
+        def spy(x, axis):
+            captured.append(softmax(x, axis))
+            return captured[-1]
+
+        monkeypatch.setattr(T, "softmax", spy)
+        attn(tokens, 4, 4)
+        (weights,) = captured
         assert weights.shape == (2, 2, 16, 4)  # 4x4 keys reduced by sr=2
         assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(weights.data > 0)

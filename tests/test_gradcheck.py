@@ -91,11 +91,6 @@ class TestPrimitiveGrads:
         check(lambda: (T.pool2d(x, "avg") * 3.0).sum(), {"x": x})
         check(lambda: (T.pool2d(x, "max") * 3.0).sum(), {"x": x})
 
-    def test_pool_window(self):
-        x = rand((1, 2, 6, 6), 20)
-        check(lambda: (T.pool2d(x, "avg", window=(2, 2, 2)) * x.sum()).sum(), {"x": x})
-        check(lambda: (T.pool2d(x, "max", window=(3, 3, 2)) * 2.0).sum(), {"x": x})
-
     def test_reduce_channel(self):
         x = rand((2, 5, 3, 3), 21)
         check(lambda: (T.reduce_channel(x, "avg") * x.sum()).sum(), {"x": x})
@@ -108,9 +103,8 @@ class TestPrimitiveGrads:
 
     def test_activations(self):
         x = rand((3, 4), 23, lo=-2.0, hi=2.0)
-        for kind in ("sigmoid", "relu", "gelu"):
-            check(lambda k=kind: (T.activation(x, k) * T.activation(x, k)).sum(),
-                  {"x": x})
+        for op in (T.sigmoid, T.relu, T.gelu):
+            check(lambda f=op: (f(x) * f(x)).sum(), {"x": x})
 
     def test_softmax(self):
         x = rand((3, 5), 24, lo=-3.0, hi=3.0)

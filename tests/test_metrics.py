@@ -40,14 +40,6 @@ class TestAccumulation:
         ba = ConfusionMatrix(6).update(a[1], b[1]).update(a[0], b[0])
         assert np.array_equal(ab.counts, ba.counts)
 
-    def test_merge_is_addition(self):
-        rng = np.random.default_rng(2)
-        pred, gt = rng.integers(0, 3, size=(2, 5, 5))
-        one = ConfusionMatrix(3).update(pred, gt)
-        two = ConfusionMatrix(3).update(pred, gt)
-        two.merge(one)
-        assert np.array_equal(two.counts, 2 * one.counts)
-
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             ConfusionMatrix(6).update(np.zeros((2, 2), int), np.zeros((3, 3), int))

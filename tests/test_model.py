@@ -8,7 +8,7 @@ from armformer.errors import (CheckpointError, ConfigError, DataError,
 from armformer.model import (AdamW, ArmFormer, ModelConfig, TrainSchedule,
                              checkpoint_load, checkpoint_save, config_from_flat,
                              config_to_text, cross_entropy, fit, make_batch,
-                             parse_flat_text, train_step)
+                             parse_flat_text, schedule_from_flat, train_step)
 from armformer.tensor import Tensor
 
 
@@ -302,6 +302,11 @@ class TestConfigText:
         base = ModelConfig.default()
         assert [s.depth for s in cfg.stages] == [5, base.stages[1].depth,
                                                  base.stages[2].depth, 7]
+
+    @pytest.mark.parametrize("name", ["validate", "__class__"])
+    def test_schedule_rejects_non_field_attributes(self, name):
+        with pytest.raises(ConfigError, match=name):
+            schedule_from_flat({f"train.{name}": "1"})
 
     def test_comments_and_blank_lines(self):
         entries = parse_flat_text("# comment\n\nmodel.seed = 7  # inline\n")

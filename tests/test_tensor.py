@@ -26,12 +26,6 @@ class TestCreate:
         t = Tensor.full((3,), 1.5)
         assert np.array_equal(t.data, [1.5, 1.5, 1.5])
 
-    def test_seeded_uniform_reproducible(self):
-        a = Tensor.uniform((4,), 7, -1, 1)
-        b = Tensor.uniform((4,), 7, -1, 1)
-        assert np.array_equal(a.data, b.data)
-        assert np.all((a.data >= -1) & (a.data <= 1))
-
     def test_trunc_normal_reproducible_and_bounded(self):
         a = Tensor.trunc_normal((64, 64), 3, std=0.02)
         b = Tensor.trunc_normal((64, 64), 3, std=0.02)
@@ -164,14 +158,13 @@ class TestPooling:
         assert np.allclose(T.pool2d(x, "avg").data, 0.7)
         assert np.allclose(T.pool2d(x, "max").data, 0.7)
 
-    def test_window_pooling_matches_scan(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(1, 2, 6, 6))
-        out = T.pool2d(Tensor(x), "max", window=(2, 2, 2))
-        expect = x.reshape(1, 2, 3, 2, 3, 2).max(axis=(3, 5))
-        assert np.array_equal(out.data, expect)
-        out = T.pool2d(Tensor(x), "avg", window=(2, 2, 2))
-        assert np.allclose(out.data, x.reshape(1, 2, 3, 2, 3, 2).mean(axis=(3, 5)))
+    def test_max_gradient_splits_ties_evenly(self):
+        x = Tensor.full((2, 3, 4, 5), 0.7, requires_grad=True)
+        T.pool2d(x, "max").sum().backward()
+        assert np.all(x.grad == 1.0 / (4 * 5))
+        x.zero_grad()
+        T.reduce_channel(x, "max").sum().backward()
+        assert np.all(x.grad == 1.0 / 3)
 
     def test_reduce_channel_single(self):
         x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 3, 3)))
@@ -258,10 +251,6 @@ class TestActivations:
         c = math.sqrt(2 / math.pi)
         expect = 0.5 * x * (1 + np.tanh(c * (x + 0.044715 * x ** 3)))
         assert np.allclose(T.gelu(Tensor(x)).data, expect, atol=1e-15)
-
-    def test_activation_dispatch(self):
-        with pytest.raises(ContractError):
-            T.activation(Tensor.zeros((1,)), "tanh")
 
 
 class TestSoftmax:
