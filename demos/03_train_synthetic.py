@@ -8,8 +8,6 @@ CPU.  The same run is scripted through the CLI as
 Run:  python demos/03_train_synthetic.py
 """
 
-import numpy as np
-
 from armformer.data import CLASS_NAMES, synth_dataset
 from armformer.metrics import ConfusionMatrix, compute_metrics, format_report
 from armformer.model import ArmFormer, ModelConfig, TrainSchedule, fit

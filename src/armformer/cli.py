@@ -108,7 +108,7 @@ def _eval_model(model: ArmFormer, dataset: D.SegDataset,
 
 def _cmd_train(args) -> int:
     entries = _load_config_file(args.config)
-    config = config_from_flat(dict(entries))
+    config = config_from_flat(entries)
     sched = schedule_from_flat(entries)
     if args.steps is not None:
         sched.steps = args.steps

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NetpbmError
+from .errors import ConfigError, DataError, NetpbmError
 from .tensor import _bilinear
 
 # class id -> (name, mask gray value)
@@ -257,7 +257,6 @@ def synth_dataset(seed: int, count: int, size: int) -> list[tuple[np.ndarray, np
     up in any run of >= 5 samples; up to two more primitives are added where
     they fit without overlap.
     """
-    from .errors import ConfigError
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
     if size % 32:

@@ -4,8 +4,7 @@ The pipeline is CBAM -> 1x1 squeeze -> hamburger global context -> CBAM ->
 1x1 classifier -> 4x bilinear upsample.  The hamburger step models global
 context by non-negative matrix factorization of the (rectified) feature map:
 ``Z ~ D @ C`` with multiplicative updates, whose reconstruction is added back
-residually.  Gradients flow through the unrolled update loop unless the
-one-step shortcut is enabled.
+residually.  Gradients flow through every round of the unrolled update loop.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from .errors import ConfigError, ShapeError
 from .nn import Conv2d, Module
 from .tensor import Tensor
 
+_EPS = 1e-7  # keeps the multiplicative-update denominators positive
+
 
 @dataclass(frozen=True)
 class HamConfig:
@@ -36,8 +37,6 @@ class HamConfig:
     iterations: int = 6
     context_channels: int = 256
     seed: int = 0
-    eps: float = 1e-7
-    one_step_grad: bool = False  # backprop only through the last update round
 
     def __post_init__(self):
         if self.rank < 1 or self.iterations < 1:
@@ -63,13 +62,13 @@ def fuse_pyramid(p: FeaturePyramid) -> Tensor:
     return T.concat(aligned, axis=1)
 
 
-def _mu_round(z: Tensor, bases: Tensor, codes: Tensor, eps: float) -> tuple[Tensor, Tensor]:
+def _mu_round(z: Tensor, bases: Tensor, codes: Tensor) -> tuple[Tensor, Tensor]:
     # codes <- codes * (D^T Z) / ((D^T D) codes + eps)
     codes = codes * T.matmul(_swap(bases), z) / (
-        T.matmul(T.matmul(_swap(bases), bases), codes) + eps)
+        T.matmul(T.matmul(_swap(bases), bases), codes) + _EPS)
     # bases <- bases * (Z codes^T) / (bases (codes codes^T) + eps)
     bases = bases * T.matmul(z, _swap(codes)) / (
-        T.matmul(bases, T.matmul(codes, _swap(codes))) + eps)
+        T.matmul(bases, T.matmul(codes, _swap(codes))) + _EPS)
     return bases, codes
 
 
@@ -102,18 +101,9 @@ def ham_global_context(x: Tensor, cfg: HamConfig,
                                        bases.data.copy(), codes.data.copy()))
 
     record()
-    if cfg.one_step_grad and cfg.iterations > 1:
-        with T.no_grad():
-            z_const = Tensor(z.data)
-            for _ in range(cfg.iterations - 1):
-                bases, codes = _mu_round(z_const, bases, codes, cfg.eps)
-                record()
-        bases, codes = _mu_round(z, bases, codes, cfg.eps)
+    for _ in range(cfg.iterations):
+        bases, codes = _mu_round(z, bases, codes)
         record()
-    else:
-        for _ in range(cfg.iterations):
-            bases, codes = _mu_round(z, bases, codes, cfg.eps)
-            record()
     recon = T.matmul(bases, codes).reshape(b, c, h, w)
     return x + recon
 

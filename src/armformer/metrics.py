@@ -48,6 +48,10 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total if total else float("nan")
 
 
+def _mean(values: np.ndarray) -> float:  # nan only when every entry is nan
+    return float(np.nanmean(values)) if not np.all(np.isnan(values)) else float("nan")
+
+
 @dataclass
 class MetricReport:
     class_names: tuple[str, ...]
@@ -59,15 +63,15 @@ class MetricReport:
 
     @property
     def miou(self) -> float:
-        return float(np.nanmean(self.iou)) if not np.all(np.isnan(self.iou)) else float("nan")
+        return _mean(self.iou)
 
     @property
     def macc(self) -> float:
-        return float(np.nanmean(self.acc)) if not np.all(np.isnan(self.acc)) else float("nan")
+        return _mean(self.acc)
 
     @property
     def mfscore(self) -> float:
-        return float(np.nanmean(self.fscore)) if not np.all(np.isnan(self.fscore)) else float("nan")
+        return _mean(self.fscore)
 
 
 def compute_metrics(cm: ConfusionMatrix, include_background: bool = True,

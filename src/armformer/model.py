@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -236,26 +236,40 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
 # flat config text  (used by checkpoints and the CLI config files)
 # ----------------------------------------------------------------------
 
-_STAGE_FIELDS = [f.name for f in fields(StageConfig)]
-_STAGE_SECTIONS = {f"stage{i}": i - 1 for i in range(1, 5)}
-_HAM_FIELDS = [f.name for f in fields(HamConfig)]
-_SCHEDULE_FIELDS = [f.name for f in fields(TrainSchedule)]
+def _fields(section: str, obj) -> dict[str, object]:
+    return {f"{section}.{f.name}": getattr(obj, f.name) for f in fields(obj)}
+
+
+def _section(flat: dict[str, object], section: str) -> dict[str, object]:
+    return {key.partition(".")[2]: value for key, value in flat.items()
+            if key.partition(".")[0] == section}
+
+
+def _flat(cfg: ModelConfig) -> dict[str, object]:
+    """Every key a config file may set, mapped to its value in ``cfg``, in file order."""
+    flat = {f"model.{name}": getattr(cfg, name) for name in ("num_classes", "input_size", "seed")}
+    for i, stage in enumerate(cfg.stages, start=1):
+        flat |= _fields(f"stage{i}", stage)
+    flat |= {"cbam.reductions": cfg.cbam_reductions, "cbam.kernels": cfg.cbam_kernels}
+    return flat | _fields("ham", cfg.ham)
+
+
+def _overlay(flat: dict[str, object], entries: dict[str, str], kind: str) -> dict[str, object]:
+    """``flat``, updated in place: each entry is parsed as the type of the value it replaces."""
+    for key, value in entries.items():
+        if key not in flat:
+            raise ConfigError(f"unknown {kind} key {key!r}")
+        try:
+            flat[key] = (tuple(map(int, value.split(","))) if isinstance(flat[key], tuple)
+                         else type(flat[key])(value))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+    return flat
 
 
 def config_to_text(cfg: ModelConfig) -> str:
-    lines = [
-        f"model.num_classes = {cfg.num_classes}",
-        f"model.input_size = {cfg.input_size}",
-        f"model.seed = {cfg.seed}",
-    ]
-    for i, stage in enumerate(cfg.stages, start=1):
-        for name in _STAGE_FIELDS:
-            lines.append(f"stage{i}.{name} = {getattr(stage, name)}")
-    lines.append("cbam.reductions = " + ",".join(map(str, cfg.cbam_reductions)))
-    lines.append("cbam.kernels = " + ",".join(map(str, cfg.cbam_kernels)))
-    for name in _HAM_FIELDS:
-        lines.append(f"ham.{name} = {getattr(cfg.ham, name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+                   for key, value in _flat(cfg).items())
 
 
 def parse_flat_text(text: str) -> dict[str, str]:
@@ -272,64 +286,28 @@ def parse_flat_text(text: str) -> dict[str, str]:
     return out
 
 
-def _coerce(value: str, like) -> object:
-    if isinstance(like, bool):
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
-    return type(like)(value)
-
-
 def config_from_flat(entries: dict[str, str], base: ModelConfig | None = None) -> ModelConfig:
     """Overlay flat ``section.key`` entries onto a base configuration."""
-    preset = entries.pop("model.preset", None)
+    preset = entries.get("model.preset")
     if base is None:
         presets = {None: ModelConfig.default, "default": ModelConfig.default,
-                   "lightweight": ModelConfig.lightweight_cbam,
-                   "reduced": ModelConfig.reduced}
+                   "lightweight": ModelConfig.lightweight_cbam, "reduced": ModelConfig.reduced}
         if preset not in presets:
             raise ConfigError(f"unknown model.preset {preset!r}")
         base = presets[preset]()
-
-    model_kw: dict = {}
-    stages = [dict((f, getattr(s, f)) for f in _STAGE_FIELDS) for s in base.stages]
-    ham_kw = dict((f, getattr(base.ham, f)) for f in _HAM_FIELDS)
-    for key, value in entries.items():
-        section, _, name = key.partition(".")
-        try:
-            if section == "model" and name in ("num_classes", "input_size", "seed"):
-                model_kw[name] = int(value)
-            elif section in _STAGE_SECTIONS and name in _STAGE_FIELDS:
-                stages[_STAGE_SECTIONS[section]][name] = int(value)
-            elif section == "cbam" and name in ("reductions", "kernels"):
-                model_kw["cbam_" + name] = tuple(int(v) for v in value.split(","))
-            elif section == "ham" and name in _HAM_FIELDS:
-                ham_kw[name] = _coerce(value, getattr(base.ham, name))
-            elif section == "train":
-                continue  # schedule keys live in the same file; handled separately
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
-    return replace(base, stages=tuple(StageConfig(**s) for s in stages),
-                   ham=HamConfig(**ham_kw), **model_kw)
+    ours = {key: value for key, value in entries.items()  # train.* keys are the schedule's
+            if key != "model.preset" and key.partition(".")[0] != "train"}
+    flat = _overlay(_flat(base), ours, "config")
+    return ModelConfig(
+        stages=tuple(StageConfig(**_section(flat, f"stage{i}")) for i in range(1, 5)),
+        cbam_reductions=flat["cbam.reductions"], cbam_kernels=flat["cbam.kernels"],
+        ham=HamConfig(**_section(flat, "ham")), **_section(flat, "model"))
 
 
 def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> TrainSchedule:
-    sched = TrainSchedule(steps=steps_default)
-    for key, value in entries.items():
-        section, _, name = key.partition(".")
-        if section != "train":
-            continue
-        if name not in _SCHEDULE_FIELDS:
-            raise ConfigError(f"unknown schedule key {key!r}")
-        try:
-            setattr(sched, name, _coerce(value, getattr(sched, name)))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
-    return sched
+    ours = {key: value for key, value in entries.items() if key.partition(".")[0] == "train"}
+    flat = _overlay(_fields("train", TrainSchedule(steps=steps_default)), ours, "schedule")
+    return TrainSchedule(**_section(flat, "train"))
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +315,7 @@ def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> Tra
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ARMF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def checkpoint_save(model: ArmFormer) -> bytes:
@@ -384,7 +362,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def checkpoint_load(data: bytes, expected_config: ModelConfig | None = None) -> ArmFormer:
+def checkpoint_load(data: bytes) -> ArmFormer:
     """Rebuild a model bit-exactly from ``checkpoint_save`` output."""
     if len(data) < 16:
         raise CheckpointError("checkpoint too short")
@@ -402,8 +380,6 @@ def checkpoint_load(data: bytes, expected_config: ModelConfig | None = None) -> 
         cfg = config_from_flat(parse_flat_text(r.take(cfg_len).decode("utf-8")))
     except (ConfigError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"embedded config invalid: {exc}") from None
-    if expected_config is not None and cfg != expected_config:
-        raise CheckpointError("checkpoint config does not match the expected config")
 
     model = ArmFormer(cfg)
     registry = dict(model.named_parameters())

@@ -9,6 +9,7 @@ the tests assert they agree.
 
 from __future__ import annotations
 
+import gc
 import platform
 import time
 from dataclasses import dataclass, field
@@ -214,18 +215,23 @@ def measure_fps(model: ArmFormer, input_hw: tuple[int, int] | None = None,
     """Wall-clock single-image inference latency (graph recording off)."""
     if iters < 10:
         raise ConfigError(f"need at least 10 timed iterations, got {iters}")
-    cfg = model.config
     if input_hw is None:
-        input_hw = (cfg.input_size, cfg.input_size)
+        input_hw = (model.config.input_size,) * 2
     x = Tensor(np.random.default_rng(0).uniform(0, 1, size=(1, 3) + tuple(input_hw)))
     times = []
     with T.no_grad():
         for _ in range(warmup):
             model(x)
-        for _ in range(iters):
-            t0 = time.perf_counter()
-            model(x)
-            times.append((time.perf_counter() - t0) * 1000.0)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # as timeit does: a collector pause is not the model's latency
+        try:
+            for _ in range(iters):
+                t0 = time.perf_counter()
+                model(x)
+                times.append((time.perf_counter() - t0) * 1000.0)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     times = np.asarray(times)
     host = f"{platform.machine()} / {platform.system()} / python {platform.python_version()}"
     return SpeedReport(warmup=warmup, iters=iters, mean_ms=float(times.mean()),

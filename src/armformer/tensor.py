@@ -227,9 +227,9 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(data, (a, b), "add", backward)
@@ -240,9 +240,9 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), "mul", backward)
@@ -253,9 +253,9 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(data, (a, b), "div", backward)
@@ -271,9 +271,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(data, (a, b), "matmul", backward)
@@ -312,7 +312,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, sizes, axis=axis)):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t._accumulate(piece)
 
     return _make(data, tensors, "concat", backward)
@@ -430,11 +430,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     data = gamma.data * xhat + beta.data
 
     def backward(g):
-        if beta.requires_grad or beta._parents:
+        if beta.requires_grad:
             beta._accumulate(g.reshape(-1, d).sum(axis=0))
-        if gamma.requires_grad or gamma._parents:
+        if gamma.requires_grad:
             gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -506,12 +506,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     def backward(g):
         gg = g.reshape(b, groups, cout // groups, oh * ow)
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             dw = np.matmul(gg, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
             w._accumulate(dw.reshape(w.shape))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dcols = np.matmul(np.swapaxes(w_g, -1, -2), gg)
             dcols = dcols.reshape(b, cin, kh, kw, oh, ow)
             x._accumulate(_col2im(dcols, x.shape, stride, padding))

@@ -5,7 +5,6 @@ import pytest
 
 from armformer import data as D
 from armformer.cli import main
-from armformer.model import checkpoint_load
 
 
 CONFIG_SMALL = """\
@@ -104,6 +103,16 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"train.{name}" in err[0]
+
+    def test_removed_ham_key_is_validation_error(self, workspace, tmp_path, capsys):
+        _, data_dir, _, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model.preset = reduced\nham.one_step_grad = true\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "ham.one_step_grad" in err[0]
 
     def test_steps_override(self, workspace, tmp_path):
         _, data_dir, config, _ = workspace

@@ -269,10 +269,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="UTF-8"):
             checkpoint_load(self._resealed(blob))
 
-    def test_expected_config_enforced(self):
-        blob = checkpoint_save(ArmFormer(toy_config(seed=1)))
-        with pytest.raises(CheckpointError, match="config"):
-            checkpoint_load(blob, expected_config=ModelConfig.reduced(input_size=96))
+    def test_version_1_rejected_by_version(self):
+        blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
+        blob[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            checkpoint_load(self._resealed(blob))
 
 
 class TestConfigText:
@@ -288,9 +289,22 @@ class TestConfigText:
         assert cfg.stages[0].channels == 8
         assert cfg.seed == 11 and cfg.ham.rank == 4
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_flat({"model.bogus": "1"})
+    @pytest.mark.parametrize("key", ["model.bogus", "ham.one_step_grad", "ham.eps"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_flat({key: "1"})
+
+    def test_entries_left_unchanged(self):
+        entries = {"model.preset": "reduced", "model.seed": "3", "train.steps": "5"}
+        before = dict(entries)
+        config_from_flat(entries)
+        assert entries == before
+
+    def test_key_table(self):
+        text = config_to_text(ModelConfig.reduced())
+        assert len(text.splitlines()) == 41
+        assert "cbam.kernels = 7,7,7,7,7,7\n" in text
+        assert "ham.eps" not in text and "ham.one_step_grad" not in text
 
     @pytest.mark.parametrize("section", ["stage0", "stage5", "stage-2", "stage01"])
     def test_stage_section_out_of_range_rejected(self, section):

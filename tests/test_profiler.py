@@ -1,11 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 
 from armformer.errors import ConfigError
 from armformer.model import ArmFormer, ModelConfig
 from armformer.nn import Conv2d, Module
-from armformer.profiler import (ComplexityReport, count_flops, count_params,
-                                measure_fps, _conv_cost, _linear_cost)
+from armformer.profiler import (count_flops, count_params, measure_fps, _conv_cost,
+                                _linear_cost)
 
 
 class TestParamCounting:
@@ -97,6 +99,29 @@ class TestSpeed:
         full = measure_fps(ArmFormer(ModelConfig.default()), (64, 64),
                            warmup=1, iters=10)
         assert toy.mean_ms < full.mean_ms
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_collector_off_while_timing(self, monkeypatch, fail_at):
+        model = ArmFormer(ModelConfig.reduced(input_size=32))
+        states = []
+        call = ArmFormer.__call__
+
+        def spy(self, images):
+            states.append(gc.isenabled())
+            if len(states) == fail_at:
+                raise RuntimeError("model failed")
+            return call(self, images)
+
+        monkeypatch.setattr(ArmFormer, "__call__", spy)
+        assert gc.isenabled()
+        if fail_at is None:
+            measure_fps(model, (32, 32), warmup=1, iters=10)
+            assert states == [True] + [False] * 10
+        else:
+            with pytest.raises(RuntimeError):
+                measure_fps(model, (32, 32), warmup=1, iters=10)
+            assert states == [True, False, False]
+        assert gc.isenabled()
 
     def test_minimum_iteration_count(self):
         with pytest.raises(ConfigError):

@@ -352,6 +352,8 @@ class TestBackward:
         with T.no_grad():
             y = x * 2.0
         assert not y.requires_grad and y._parents == ()
+        z = Tensor([1.0]) * 2.0  # recording on, but no input requires grad
+        assert not z.requires_grad and z._parents == ()
 
     def test_cross_entropy_matches_closed_form(self):
         logits = Tensor(np.array([0.0, math.log(3.0)]).reshape(1, 2, 1, 1))
