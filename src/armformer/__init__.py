@@ -14,7 +14,7 @@ from .metrics import ConfusionMatrix, MetricReport, compute_metrics, format_repo
 from .model import (AdamW, ArmFormer, Batch, ModelConfig, TrainSchedule,
                     checkpoint_load, checkpoint_save, cross_entropy, fit,
                     make_batch, train_step)
-from .profiler import ComplexityReport, SpeedReport, count_flops, count_params, measure_fps
+from .profiler import ComplexityReport, SpeedReport, count_flops, measure_fps
 from .tensor import Tensor, no_grad
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "FeaturePyramid", "GradCheckReport", "HamConfig", "HamDecoder",
     "MetricReport", "MitEncoder", "MixFFN", "ModelConfig", "OverlapPatchEmbed",
     "SpeedReport", "StageConfig", "Tensor", "TrainSchedule", "checkpoint_load",
-    "checkpoint_save", "compute_metrics", "count_flops", "count_params",
-    "cross_entropy", "fit", "format_report", "fuse_pyramid", "grad_check",
-    "ham_global_context", "make_batch", "measure_fps", "no_grad", "train_step",
+    "checkpoint_save", "compute_metrics", "count_flops", "cross_entropy", "fit",
+    "format_report", "fuse_pyramid", "grad_check", "ham_global_context", "make_batch",
+    "measure_fps", "no_grad", "train_step",
 ]

@@ -41,11 +41,9 @@ class CBAM(Module):
         if reduction < 1:
             raise ConfigError(f"reduction ratio must be >= 1, got {reduction}")
         self.channels = channels
-        self.reduction = reduction
-        self.kernel = kernel
         hidden = max(1, channels // reduction)
-        self.w1 = Tensor.trunc_normal((channels, hidden), rng, std=0.02, requires_grad=True)
-        self.w2 = Tensor.trunc_normal((hidden, channels), rng, std=0.02, requires_grad=True)
+        self.w1 = Tensor.trunc_normal((channels, hidden), rng, requires_grad=True)
+        self.w2 = Tensor.trunc_normal((hidden, channels), rng, requires_grad=True)
         self.conv = Conv2d(2, 1, kernel, rng, padding=(kernel - 1) // 2, bias=False)
 
     def _mlp(self, v: Tensor) -> Tensor:

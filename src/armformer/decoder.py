@@ -44,6 +44,8 @@ class HamConfig:
         if self.rank >= self.context_channels:
             raise ConfigError(
                 f"rank {self.rank} must be below context_channels {self.context_channels}")
+        if self.seed < 0:
+            raise ConfigError(f"ham seed must be >= 0, got {self.seed}")
 
 
 def _swap(t: Tensor) -> Tensor:

@@ -6,8 +6,8 @@ keys/values by a per-stage reduction ratio, reassembles the token grid into a
 feature map and refines it with CBAM.  The refined map is both the stage's
 pyramid output and the next stage's input.
 
-The default schedule produces channels (32, 64, 160, 256) at 1/4, 1/8, 1/16
-and 1/32 of the input resolution.
+The default schedule has channels (32, 64, 160, 256); the fixed patch
+geometry puts every schedule's stages at 1/4, 1/8, 1/16 and 1/32 of the input.
 """
 
 from __future__ import annotations
@@ -25,30 +25,31 @@ from .nn import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
 
+# (kernel, stride) of each stage's patch embedding, padded by kernel // 2; every
+# MiT variant shares this geometry, which puts the stages at 1/4 .. 1/32
+PATCH_GEOMETRY = ((7, 4), (3, 2), (3, 2), (3, 2))
+FFN_EXPANSION = 4
+
+
 @dataclass(frozen=True)
 class StageConfig:
     channels: int
     depth: int
     heads: int
     sr_ratio: int
-    patch_kernel: int
-    patch_stride: int
-    patch_padding: int
-    ffn_expansion: int = 4
 
     def __post_init__(self):
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
-        if min(self.depth, self.heads, self.sr_ratio, self.patch_stride) < 1:
+        if min(self.depth, self.heads, self.sr_ratio) < 1:
             raise ConfigError(f"invalid stage config {self}")
 
 
-# stage 1 keeps kernel 7 / stride 4; later stages halve with kernel 3
 DEFAULT_STAGES = (
-    StageConfig(32, 2, 1, 8, patch_kernel=7, patch_stride=4, patch_padding=3),
-    StageConfig(64, 2, 2, 4, patch_kernel=3, patch_stride=2, patch_padding=1),
-    StageConfig(160, 2, 5, 2, patch_kernel=3, patch_stride=2, patch_padding=1),
-    StageConfig(256, 2, 8, 1, patch_kernel=3, patch_stride=2, patch_padding=1),
+    StageConfig(32, 2, 1, 8),
+    StageConfig(64, 2, 2, 4),
+    StageConfig(160, 2, 5, 2),
+    StageConfig(256, 2, 8, 1),
 )
 
 
@@ -72,11 +73,11 @@ def map_to_tokens(x: Tensor) -> tuple[Tensor, int, int]:
 
 
 class OverlapPatchEmbed(Module):
-    def __init__(self, in_channels: int, cfg: StageConfig, rng: np.random.Generator):
+    def __init__(self, in_channels: int, channels: int, kernel: int, stride: int,
+                 rng: np.random.Generator):
         super().__init__()
-        self.conv = Conv2d(in_channels, cfg.channels, cfg.patch_kernel, rng,
-                           stride=cfg.patch_stride, padding=cfg.patch_padding)
-        self.norm = LayerNorm(cfg.channels)
+        self.conv = Conv2d(in_channels, channels, kernel, rng, stride=stride, padding=kernel // 2)
+        self.norm = LayerNorm(channels)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, int, int]:
         tokens, h, w = map_to_tokens(self.conv(x))
@@ -124,9 +125,9 @@ class EfficientSelfAttention(Module):
 class MixFFN(Module):
     """Feed-forward block with an interior depthwise 3x3 convolution."""
 
-    def __init__(self, channels: int, expansion: int, rng: np.random.Generator):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        hidden = channels * expansion
+        hidden = channels * FFN_EXPANSION
         self.fc1 = Linear(channels, hidden, rng)
         self.dw = Conv2d(hidden, hidden, 3, rng, padding=1, groups=hidden)
         self.fc2 = Linear(hidden, channels, rng)
@@ -143,7 +144,7 @@ class TransformerBlock(Module):
         self.norm1 = LayerNorm(cfg.channels)
         self.attn = EfficientSelfAttention(cfg.channels, cfg.heads, cfg.sr_ratio, rng)
         self.norm2 = LayerNorm(cfg.channels)
-        self.ffn = MixFFN(cfg.channels, cfg.ffn_expansion, rng)
+        self.ffn = MixFFN(cfg.channels, rng)
 
     def __call__(self, tokens: Tensor, h: int, w: int) -> Tensor:
         tokens = tokens + self.attn(self.norm1(tokens), h, w)
@@ -151,10 +152,10 @@ class TransformerBlock(Module):
 
 
 class Stage(Module):
-    def __init__(self, in_channels: int, cfg: StageConfig,
+    def __init__(self, in_channels: int, cfg: StageConfig, geometry: tuple[int, int],
                  rng: np.random.Generator, cbam_reduction: int, cbam_kernel: int):
         super().__init__()
-        self.embed = OverlapPatchEmbed(in_channels, cfg, rng)
+        self.embed = OverlapPatchEmbed(in_channels, cfg.channels, *geometry, rng)
         self.blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.depth)]
         self.norm = LayerNorm(cfg.channels)
         self.cbam = CBAM(cfg.channels, rng, cbam_reduction, cbam_kernel)
@@ -175,8 +176,8 @@ class MitEncoder(Module):
         if len(stages) != 4:
             raise ConfigError(f"encoder needs exactly 4 stages, got {len(stages)}")
         built = []
-        for cfg, r, k in zip(stages, cbam_reductions, cbam_kernels):
-            built.append(Stage(in_channels, cfg, rng, r, k))
+        for cfg, geometry, r, k in zip(stages, PATCH_GEOMETRY, cbam_reductions, cbam_kernels):
+            built.append(Stage(in_channels, cfg, geometry, rng, r, k))
             in_channels = cfg.channels
         self.stages = built
 

@@ -175,10 +175,8 @@ def gradient_suites(level: str):
         return grad_check(fn, params)
 
     def stage_suite():
-        cfg = StageConfig(6, 1, 2, 2, patch_kernel=7, patch_stride=4, patch_padding=3)
-        enc = MitEncoder((cfg, StageConfig(8, 1, 2, 2, 3, 2, 1),
-                          StageConfig(12, 1, 2, 1, 3, 2, 1),
-                          StageConfig(16, 1, 2, 1, 3, 2, 1)),
+        enc = MitEncoder((StageConfig(6, 1, 2, 2), StageConfig(8, 1, 2, 2),
+                          StageConfig(12, 1, 2, 1), StageConfig(16, 1, 2, 1)),
                          rng(7), (16,) * 4, (7,) * 4)
         stage = enc.stages[0]
         rescale_for_check(stage, seed=8)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
@@ -19,10 +20,10 @@ from .tensor import Tensor
 CBAM_SITES = 6  # four encoder stages, then decoder pre- and post-context
 
 REDUCED_STAGES = (
-    StageConfig(8, 1, 1, 8, patch_kernel=7, patch_stride=4, patch_padding=3),
-    StageConfig(16, 1, 2, 4, patch_kernel=3, patch_stride=2, patch_padding=1),
-    StageConfig(24, 1, 3, 2, patch_kernel=3, patch_stride=2, patch_padding=1),
-    StageConfig(32, 1, 4, 1, patch_kernel=3, patch_stride=2, patch_padding=1),
+    StageConfig(8, 1, 1, 8),
+    StageConfig(16, 1, 2, 4),
+    StageConfig(24, 1, 3, 2),
+    StageConfig(32, 1, 4, 1),
 )
 
 
@@ -53,8 +54,11 @@ class ModelConfig:
             raise ConfigError(f"{CBAM_SITES} CBAM sites must be configured")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
-        if self.input_size % 32:
-            raise ConfigError("input_size must be divisible by 32")
+        if self.input_size <= 0 or self.input_size % 32:
+            raise ConfigError(
+                f"input_size must be a positive multiple of 32, got {self.input_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def default(cls) -> "ModelConfig":
@@ -122,21 +126,25 @@ class TrainSchedule:
     def validate(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay (b1=0.9, b2=0.999)."""
+    """Adaptive moments with decoupled weight decay."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Sequence[tuple[str, Tensor]], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -315,7 +323,7 @@ def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> Tra
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ARMF"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def checkpoint_save(model: ArmFormer) -> bytes:

@@ -73,20 +73,13 @@ class ModuleList(Module):
 class Linear(Module):
     """y = x @ W + b with W stored (in_features, out_features)."""
 
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor.trunc_normal((in_features, out_features), rng,
-                                          std=0.02, requires_grad=True)
-        self.bias = Tensor.zeros((out_features,), requires_grad=True) if bias else None
+        self.weight = Tensor.trunc_normal((in_features, out_features), rng, requires_grad=True)
+        self.bias = Tensor.zeros((out_features,), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return T.matmul(x, self.weight) + self.bias
 
 
 class Conv2d(Module):
@@ -98,8 +91,7 @@ class Conv2d(Module):
         self.padding = padding
         self.groups = groups
         self.weight = Tensor.trunc_normal(
-            (out_channels, in_channels // groups, kernel, kernel), rng,
-            std=0.02, requires_grad=True)
+            (out_channels, in_channels // groups, kernel, kernel), rng, requires_grad=True)
         self.bias = Tensor.zeros((out_channels,), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -108,11 +100,10 @@ class Conv2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.gamma = Tensor.full((dim,), 1.0, requires_grad=True)
         self.beta = Tensor.zeros((dim,), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)

@@ -1,10 +1,9 @@
 """Complexity and speed accounting: parameters, MACs, frames per second.
 
 MAC counting follows one convention throughout (1 multiply-accumulate = 1
-FLOP, elementwise work excluded); see FORMULA_SHEET.  Parameter totals are
-available through two independent routes, the live registry
-(``count_params``) and the per-layer closed forms inside ``count_flops`` —
-the tests assert they agree.
+FLOP, elementwise work excluded); see FORMULA_SHEET.  The per-layer
+parameter counts are closed forms too; the tests assert that their total
+equals the live registry's ``Module.num_parameters()``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .encoder import FFN_EXPANSION, PATCH_GEOMETRY
 from .errors import ConfigError
 from .model import ArmFormer
 from .tensor import Tensor
@@ -77,17 +77,6 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def count_params(model: ArmFormer) -> ComplexityReport:
-    """Registry-route parameter totals, grouped by top-level component."""
-    groups: dict[str, int] = {}
-    for name, p in model.named_parameters():
-        key = ".".join(name.split(".")[:2])
-        groups[key] = groups.get(key, 0) + p.size
-    report = ComplexityReport(input_hw=(0, 0))
-    report.breakdown = [LayerCost(k, v, 0) for k, v in groups.items()]
-    return report
-
-
 def _conv_cost(k: int, cin: int, cout: int, oh: int, ow: int,
                groups: int = 1, bias: bool = True) -> tuple[int, int]:
     params = (k * k * cin // groups) * cout + (cout if bias else 0)
@@ -120,12 +109,12 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
     report = ComplexityReport(input_hw=input_hw)
     add = report.breakdown.append
     cin = 3
-    for i, s in enumerate(cfg.stages, start=1):
-        h = (h + 2 * s.patch_padding - s.patch_kernel) // s.patch_stride + 1
-        w = (w + 2 * s.patch_padding - s.patch_kernel) // s.patch_stride + 1
+    for i, (s, (kernel, stride)) in enumerate(zip(cfg.stages, PATCH_GEOMETRY), start=1):
+        h //= stride  # the padded kernel // 2 conv is exact for inputs divisible by 32
+        w //= stride
         n = h * w
         c = s.channels
-        p, f = _conv_cost(s.patch_kernel, cin, c, h, w)
+        p, f = _conv_cost(kernel, cin, c, h, w)
         add(LayerCost(f"encoder.stage{i}.patch_embed", p + 2 * c, f))
 
         pa = fa = pf = ff = 0
@@ -146,7 +135,7 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
             fa += 2 * n * n_kv * c            # QK and AV
             pa += 2 * c                       # pre-attention layer norm
 
-            hid = c * s.ffn_expansion
+            hid = c * FFN_EXPANSION
             p, f = _linear_cost(c, hid, n)
             pf += p; ff += f
             p, f = _conv_cost(3, hid, hid, h, w, groups=hid)

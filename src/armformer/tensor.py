@@ -40,12 +40,6 @@ class no_grad:
         return False
 
 
-def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     shape = tuple(int(d) for d in shape)
     if not shape:
@@ -79,18 +73,17 @@ class Tensor:
         return cls(np.full(_check_shape(shape), float(value)), requires_grad)
 
     @classmethod
-    def trunc_normal(cls, shape: Sequence[int], rng: int | np.random.Generator,
-                     std: float = 0.02, requires_grad: bool = False) -> "Tensor":
-        # Standard normal with resampling of the ~4.6% of draws beyond 2 std.
-        # The redraw sequence is a pure function of the seed, so construction
-        # stays bit-reproducible.
-        rng = _as_rng(rng)
+    def trunc_normal(cls, shape: Sequence[int], rng: np.random.Generator,
+                     requires_grad: bool = False) -> "Tensor":
+        # Standard normal with resampling of the ~4.6% of draws beyond 2 std,
+        # scaled to std 0.02.  The redraw sequence is a pure function of the
+        # generator's state, so construction stays bit-reproducible.
         x = rng.standard_normal(_check_shape(shape))
         bad = np.abs(x) > 2.0
         while bad.any():
             x[bad] = rng.standard_normal(int(bad.sum()))
             bad = np.abs(x) > 2.0
-        return cls(x * std, requires_grad)
+        return cls(x * 0.02, requires_grad)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -418,14 +411,14 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _make(data, (x,), "softmax", backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-6), then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = (x.data - mu) * inv
     data = gamma.data * xhat + beta.data
 

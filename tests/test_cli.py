@@ -114,6 +114,22 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "ham.one_step_grad" in err[0]
 
+    @pytest.mark.parametrize("line, field", [
+        ("model.input_size = 0", "input_size"), ("model.input_size = -32", "input_size"),
+        ("model.seed = -1", "seed"), ("ham.seed = -5", "ham seed"),
+        ("train.seed = -1", "seed"), ("train.eval_every = -1", "eval_every"),
+        ("train.lr = nan", "lr")])
+    def test_out_of_range_value_is_validation_error(self, workspace, tmp_path, capsys,
+                                                     line, field):
+        _, data_dir, _, _ = workspace
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model.preset = reduced\n{line}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x.ckpt"), "--steps", "2"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{field} must be" in err[0]
+
     def test_steps_override(self, workspace, tmp_path):
         _, data_dir, config, _ = workspace
         out = tmp_path / "short.ckpt"
@@ -212,6 +228,14 @@ class TestBench:
         out = capsys.readouterr().out
         assert "total_params=" in out
         assert "fps=" in out
+
+    def test_removed_geometry_key_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "geometry.cfg"
+        cfg.write_text("model.preset = reduced\nstage1.patch_stride = 2\n")
+        capsys.readouterr()
+        assert main(["bench", "--config", str(cfg), "--size", "64", "--no-speed"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "stage1.patch_stride" in err[0]
 
     def test_bench_complexity_only(self, workspace, capsys):
         _, _, _, ckpt = workspace

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from armformer import tensor as T
-from armformer.encoder import (DEFAULT_STAGES, EfficientSelfAttention, MitEncoder,
-                               MixFFN, OverlapPatchEmbed, StageConfig)
+from armformer.encoder import (DEFAULT_STAGES, PATCH_GEOMETRY, EfficientSelfAttention,
+                               MitEncoder, MixFFN, OverlapPatchEmbed, StageConfig)
 from armformer.errors import ConfigError, ShapeError
 from armformer.gradcheck import grad_check, rescale_for_check
 from armformer.tensor import Tensor
@@ -26,28 +26,28 @@ def set_identity_linear(linear):
 class TestStageConfig:
     def test_heads_must_divide_channels(self):
         with pytest.raises(ConfigError):
-            StageConfig(30, 2, 4, 1, 3, 2, 1)
+            StageConfig(30, 2, 4, 1)
 
     def test_default_schedule(self):
         assert [s.channels for s in DEFAULT_STAGES] == [32, 64, 160, 256]
-        assert [s.patch_stride for s in DEFAULT_STAGES] == [4, 2, 2, 2]
+        assert [stride for _, stride in PATCH_GEOMETRY] == [4, 2, 2, 2]
 
 
 class TestPatchEmbed:
     def test_stage1_geometry(self):
-        embed = OverlapPatchEmbed(3, DEFAULT_STAGES[0], rng(1))
+        embed = OverlapPatchEmbed(3, 32, 7, 4, rng(1))
         tokens, h, w = embed(Tensor.zeros((2, 3, 64, 64)))
         assert (h, w) == (16, 16)
         assert tokens.shape == (2, 256, 32)
 
     def test_stage2_geometry(self):
-        embed = OverlapPatchEmbed(32, DEFAULT_STAGES[1], rng(2))
+        embed = OverlapPatchEmbed(32, 64, 3, 2, rng(2))
         tokens, h, w = embed(Tensor.zeros((1, 32, 16, 16)))
         assert (h, w) == (8, 8)
         assert tokens.shape == (1, 64, 64)
 
     def test_zero_network_zero_tokens(self):
-        embed = OverlapPatchEmbed(3, DEFAULT_STAGES[0], rng(3))
+        embed = OverlapPatchEmbed(3, 32, 7, 4, rng(3))
         embed.conv.weight.data[...] = 0.0
         embed.conv.bias.data[...] = 0.0
         tokens, _, _ = embed(Tensor.zeros((1, 3, 64, 64)))
@@ -107,25 +107,25 @@ class TestAttention:
 
 class TestMixFFN:
     def test_zero_network(self):
-        ffn = MixFFN(4, expansion=2, rng=rng(9))
+        ffn = MixFFN(4, rng=rng(9))
         for _, p in ffn.named_parameters():
             p.data[...] = 0.0
         out = ffn(Tensor(rng(10).normal(size=(1, 9, 4))), 3, 3)
         assert np.array_equal(out.data, np.zeros((1, 9, 4)))
 
     def test_interior_constant_field_matches_depthwise_oracle(self):
-        ffn = MixFFN(2, expansion=2, rng=rng(11))
+        ffn = MixFFN(2, rng=rng(11))
         h = w = 5
         tokens = Tensor(np.tile(np.array([0.4, -0.8]), (1, h * w, 1)))
         out = ffn(tokens, h, w).data[0].reshape(h, w, 2)
         # oracle: replay the pipeline with the nested-loop depthwise conv
         hidden = tokens.data @ ffn.fc1.weight.data + ffn.fc1.bias.data
-        grid = hidden.reshape(1, h, w, 4).transpose(0, 3, 1, 2)
+        grid = hidden.reshape(1, h, w, 8).transpose(0, 3, 1, 2)
         conv = conv2d_oracle(grid, ffn.dw.weight.data, ffn.dw.bias.data,
-                             stride=1, padding=1, groups=4)
+                             stride=1, padding=1, groups=8)
         c = np.sqrt(2 / np.pi)
         act = 0.5 * conv * (1 + np.tanh(c * (conv + 0.044715 * conv ** 3)))
-        expect = (act.transpose(0, 2, 3, 1).reshape(h * w, 4)
+        expect = (act.transpose(0, 2, 3, 1).reshape(h * w, 8)
                   @ ffn.fc2.weight.data + ffn.fc2.bias.data).reshape(h, w, 2)
         assert np.allclose(out, expect, atol=1e-12)
         # zero padding breaks constancy at the borders but not inside
@@ -133,7 +133,7 @@ class TestMixFFN:
         assert np.allclose(interior, interior[0, 0], atol=1e-12)
 
     def test_single_pixel_hand_case(self):
-        ffn = MixFFN(2, expansion=2, rng=rng(12))
+        ffn = MixFFN(2, rng=rng(12))
         x = np.array([[0.9, -0.4]])
         hidden = x @ ffn.fc1.weight.data + ffn.fc1.bias.data
         # at 1x1 spatial extent the depthwise 3x3 sees only its center tap
@@ -190,8 +190,7 @@ class TestEncoderForward:
 
 class TestStageGradients:
     def test_single_stage_gradcheck(self):
-        cfg = StageConfig(6, 1, 2, 2, patch_kernel=7, patch_stride=4, patch_padding=3)
-        enc = MitEncoder((cfg,) + DEFAULT_STAGES[1:], rng(21),
+        enc = MitEncoder((StageConfig(6, 1, 2, 2),) + DEFAULT_STAGES[1:], rng(21),
                          (16,) * 4, (7,) * 4)
         stage = enc.stages[0]
         rescale_for_check(stage, seed=23)

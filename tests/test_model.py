@@ -271,9 +271,21 @@ class TestCheckpoint:
 
     def test_version_1_rejected_by_version(self):
         blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
-        blob[4:8] = (1).to_bytes(4, "little")
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-            checkpoint_load(self._resealed(blob))
+        for version in (1, 2):  # earlier layouts carry config keys that are gone
+            blob[4:8] = version.to_bytes(4, "little")
+            with pytest.raises(CheckpointError,
+                               match=f"unsupported checkpoint version {version}"):
+                checkpoint_load(self._resealed(blob))
+
+    def test_negative_seed_in_checkpoint_rejected(self):
+        blob = checkpoint_save(ArmFormer(toy_config()))
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        text = blob[12:12 + cfg_len].replace(b"model.seed = 0\n", b"model.seed = -1\n")
+        assert len(text) == cfg_len + 1
+        forged = (blob[:8] + len(text).to_bytes(4, "little") + text
+                  + blob[12 + cfg_len:])
+        with pytest.raises(CheckpointError, match="seed must be >= 0"):
+            checkpoint_load(self._resealed(bytearray(forged)))
 
 
 class TestConfigText:
@@ -289,7 +301,9 @@ class TestConfigText:
         assert cfg.stages[0].channels == 8
         assert cfg.seed == 11 and cfg.ham.rank == 4
 
-    @pytest.mark.parametrize("key", ["model.bogus", "ham.one_step_grad", "ham.eps"])
+    @pytest.mark.parametrize("key", ["model.bogus", "ham.one_step_grad", "ham.eps",
+                                     "stage1.patch_stride", "stage2.patch_kernel",
+                                     "stage3.patch_padding", "stage4.ffn_expansion"])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_flat({key: "1"})
@@ -302,9 +316,12 @@ class TestConfigText:
 
     def test_key_table(self):
         text = config_to_text(ModelConfig.reduced())
-        assert len(text.splitlines()) == 41
+        assert len(text.splitlines()) == 25
         assert "cbam.kernels = 7,7,7,7,7,7\n" in text
         assert "ham.eps" not in text and "ham.one_step_grad" not in text
+        assert "patch_" not in text and "ffn_expansion" not in text
+        for cfg in (ModelConfig.default(), ModelConfig.lightweight_cbam()):
+            assert len(config_to_text(cfg).splitlines()) == 25
 
     @pytest.mark.parametrize("section", ["stage0", "stage5", "stage-2", "stage01"])
     def test_stage_section_out_of_range_rejected(self, section):

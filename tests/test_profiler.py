@@ -3,10 +3,12 @@ import gc
 import numpy as np
 import pytest
 
+from armformer import tensor as T
 from armformer.errors import ConfigError
 from armformer.model import ArmFormer, ModelConfig
 from armformer.nn import Conv2d, Module
-from armformer.profiler import (count_flops, count_params, measure_fps, _conv_cost,
+from armformer.tensor import Tensor
+from armformer.profiler import (count_flops, measure_fps, _conv_cost,
                                 _linear_cost)
 
 
@@ -24,10 +26,8 @@ class TestParamCounting:
         for cfg in (ModelConfig.default(), ModelConfig.lightweight_cbam(),
                     ModelConfig.reduced()):
             model = ArmFormer(cfg)
-            registry = count_params(model)
             analytic = count_flops(model, (cfg.input_size, cfg.input_size))
-            assert registry.total_params == analytic.total_params
-            assert registry.total_params == model.num_parameters()
+            assert analytic.total_params == model.num_parameters()
 
     def test_default_params_in_expected_band(self):
         model = ArmFormer(ModelConfig.default())
@@ -69,6 +69,25 @@ class TestFlopCounting:
         report = count_flops(ArmFormer(ModelConfig.reduced()), (64, 64))
         assert "MAC" in report.formula_sheet
         assert "conv2d" in report.formula_sheet
+
+    @pytest.mark.parametrize("preset", ["reduced", "default"])
+    def test_executed_macs_equal_closed_form(self, monkeypatch, preset):
+        model = ArmFormer(getattr(ModelConfig, preset)())
+        executed = []
+
+        def counting(name, per_output_element):
+            op = getattr(T, name)
+
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
+                executed.append(out.size * per_output_element(*args))
+                return out
+            monkeypatch.setattr(T, name, wrapped)
+
+        counting("matmul", lambda a, b: a.shape[-1])             # [..., M, K] @ [..., K, N]
+        counting("conv2d", lambda x, w, *_: w.size // w.shape[0])  # Cin/groups * kh * kw
+        model.predict(Tensor(np.random.default_rng(0).uniform(0, 1, size=(1, 3, 64, 64))))
+        assert sum(executed) == count_flops(model, (64, 64)).total_flops
 
     def test_report_renders(self):
         report = count_flops(ArmFormer(ModelConfig.reduced()), (64, 64))
