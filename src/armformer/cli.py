@@ -112,6 +112,7 @@ def _cmd_train(args) -> int:
     sched = schedule_from_flat(entries)
     if args.steps is not None:
         sched.steps = args.steps
+    sched.validate()  # before the split is read and the model is built
     dataset = D.SegDataset(Path(args.data), "train", config.input_size)
     if len(dataset) == 0:
         raise DataError(f"train split of {args.data} is empty")
@@ -187,7 +188,7 @@ def _cmd_bench(args) -> int:
     else:
         entries = _load_config_file(args.config) if args.config else {}
         model = ArmFormer(config_from_flat(entries))
-    size = args.size or model.config.input_size
+    size = model.config.input_size if args.size is None else args.size
     report = count_flops(model, (size, size))
     print(report)
     print()

@@ -46,9 +46,6 @@ GRAY_VALUES = tuple(gray for _, _, gray in PALETTE)
 class DecodeStats:
     off_palette: int = 0
 
-    def reset(self):
-        self.off_palette = 0
-
 
 decode_stats = DecodeStats()
 
@@ -259,8 +256,8 @@ def synth_dataset(seed: int, count: int, size: int) -> list[tuple[np.ndarray, np
     """
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
-    if size % 32:
-        raise ConfigError(f"size must be divisible by 32, got {size}")
+    if size <= 0 or size % 32:
+        raise ConfigError(f"size must be a positive multiple of 32, got {size}")
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(count):
@@ -341,6 +338,8 @@ def save_dataset(samples: list[tuple[np.ndarray, np.ndarray]], root: str | Path,
     Samples are assigned to train/val/test in order by the given fractions
     (train gets any remainder), so the split is deterministic.
     """
+    if not all(0.0 <= f <= 1.0 for f in split_fractions):
+        raise DataError(f"split fractions must each lie in [0, 1], got {split_fractions}")
     if abs(sum(split_fractions) - 1.0) > 1e-9:
         raise DataError(f"split fractions must sum to 1, got {split_fractions}")
     root = Path(root)

@@ -31,10 +31,15 @@ class HamConfig:
     ``rank`` and ``iterations`` trade reconstruction quality against compute;
     the factor matrices are re-initialized from ``seed`` on every forward so
     inference is deterministic and the block carries no learned state.
+
+    The defaults (rank 16, 2 update rounds) keep the head light: at 640x640
+    the fused map has 25600 positions, and a rank-64/6-round factorization
+    alone would add ~6.3 GMACs, pushing whole-model complexity far past its
+    ~10 GMAC budget.
     """
 
-    rank: int = 64
-    iterations: int = 6
+    rank: int = 16
+    iterations: int = 2
     context_channels: int = 256
     seed: int = 0
 
@@ -114,15 +119,13 @@ class HamDecoder(Module):
     """Dual-CBAM hamburger head over a four-level feature pyramid."""
 
     def __init__(self, in_channels: tuple[int, int, int, int], num_classes: int,
-                 ham: HamConfig, rng: np.random.Generator,
-                 cbam_reductions: tuple[int, int] = (16, 16),
-                 cbam_kernels: tuple[int, int] = (7, 7)):
+                 ham: HamConfig, rng: np.random.Generator, cbam_reduction: int, cbam_kernel: int):
         super().__init__()
         fused = sum(in_channels)
         self.ham = ham
-        self.cbam_pre = CBAM(fused, rng, cbam_reductions[0], cbam_kernels[0])
+        self.cbam_pre = CBAM(fused, rng, cbam_reduction, cbam_kernel)
         self.squeeze = Conv2d(fused, ham.context_channels, 1, rng)
-        self.cbam_post = CBAM(ham.context_channels, rng, cbam_reductions[1], cbam_kernels[1])
+        self.cbam_post = CBAM(ham.context_channels, rng, cbam_reduction, cbam_kernel)
         self.classifier = Conv2d(ham.context_channels, num_classes, 1, rng)
 
     def __call__(self, pyramid: FeaturePyramid) -> Tensor:

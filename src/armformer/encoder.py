@@ -170,19 +170,16 @@ class Stage(Module):
 
 class MitEncoder(Module):
     def __init__(self, stages: Sequence[StageConfig], rng: np.random.Generator,
-                 cbam_reductions: Sequence[int], cbam_kernels: Sequence[int],
-                 in_channels: int = 3):
+                 cbam_reduction: int, cbam_kernel: int):
         super().__init__()
         if len(stages) != 4:
             raise ConfigError(f"encoder needs exactly 4 stages, got {len(stages)}")
-        built = []
-        for cfg, geometry, r, k in zip(stages, PATCH_GEOMETRY, cbam_reductions, cbam_kernels):
-            built.append(Stage(in_channels, cfg, geometry, rng, r, k))
-            in_channels = cfg.channels
-        self.stages = built
+        in_channels = (3,) + tuple(s.channels for s in stages[:3])  # RGB, then each stage's
+        self.stages = [Stage(cin, cfg, geometry, rng, cbam_reduction, cbam_kernel)
+                       for cin, cfg, geometry in zip(in_channels, stages, PATCH_GEOMETRY)]
 
     def __call__(self, image: Tensor) -> FeaturePyramid:
-        if image.ndim != 4 or image.shape[1] != self.stages[0].embed.conv.weight.shape[1]:
+        if image.ndim != 4 or image.shape[1] != 3:
             raise ShapeError(f"expected [B,C,H,W] image, got {image.shape}")
         if image.shape[2] % 32 or image.shape[3] % 32:
             raise ShapeError(f"input spatial dims must be divisible by 32, got {image.shape}")

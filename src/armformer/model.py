@@ -17,8 +17,6 @@ from .errors import (CheckpointError, ConfigError, DataError, TrainingError)
 from .nn import Module
 from .tensor import Tensor
 
-CBAM_SITES = 6  # four encoder stages, then decoder pre- and post-context
-
 REDUCED_STAGES = (
     StageConfig(8, 1, 1, 8),
     StageConfig(16, 1, 2, 4),
@@ -30,19 +28,15 @@ REDUCED_STAGES = (
 @dataclass(frozen=True)
 class ModelConfig:
     """Every architectural knob, with defaults reproducing the standard
-    channel/resolution schedule (32, 64, 160, 256 at 1/4..1/32) and uniform
-    CBAM sites at reduction 16 / kernel 7.
-
-    The default hamburger settings (rank 16, 2 update rounds) are lighter
-    than the standalone ``HamConfig`` defaults: at 640x640 the fused map has
-    25600 positions, and a rank-64/6-round factorization alone would add
-    ~6.3 GMACs, pushing whole-model complexity far past its ~10 GMAC budget.
+    channel/resolution schedule (32, 64, 160, 256 at 1/4..1/32).  One CBAM
+    reduction and kernel apply at all six sites: after each of the four
+    encoder stages, and before and after the decoder's global context.
     """
 
     stages: tuple[StageConfig, ...] = DEFAULT_STAGES
-    cbam_reductions: tuple[int, ...] = (16,) * CBAM_SITES
-    cbam_kernels: tuple[int, ...] = (7,) * CBAM_SITES
-    ham: HamConfig = field(default_factory=lambda: HamConfig(rank=16, iterations=2))
+    cbam_reduction: int = 16
+    cbam_kernel: int = 7
+    ham: HamConfig = field(default_factory=HamConfig)
     num_classes: int = 6
     input_size: int = 640
     seed: int = 0
@@ -50,8 +44,10 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.stages) != 4:
             raise ConfigError("exactly 4 encoder stages required")
-        if len(self.cbam_reductions) != CBAM_SITES or len(self.cbam_kernels) != CBAM_SITES:
-            raise ConfigError(f"{CBAM_SITES} CBAM sites must be configured")
+        if self.cbam_reduction < 1:
+            raise ConfigError(f"cbam reduction must be >= 1, got {self.cbam_reduction}")
+        if self.cbam_kernel < 1 or self.cbam_kernel % 2 == 0:
+            raise ConfigError(f"cbam kernel must be odd and positive, got {self.cbam_kernel}")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.input_size <= 0 or self.input_size % 32:
@@ -67,7 +63,7 @@ class ModelConfig:
     @classmethod
     def lightweight_cbam(cls) -> "ModelConfig":
         """Cheaper attention variant: reduction 32, kernel 3 at every site."""
-        return cls(cbam_reductions=(32,) * CBAM_SITES, cbam_kernels=(3,) * CBAM_SITES)
+        return cls(cbam_reduction=32, cbam_kernel=3)
 
     @classmethod
     def reduced(cls, input_size: int = 64, seed: int = 0) -> "ModelConfig":
@@ -82,13 +78,9 @@ class ArmFormer(Module):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.encoder = MitEncoder(config.stages, rng,
-                                  config.cbam_reductions[:4], config.cbam_kernels[:4])
-        self.decoder = HamDecoder(
-            tuple(s.channels for s in config.stages), config.num_classes,
-            config.ham, rng,
-            cbam_reductions=tuple(config.cbam_reductions[4:]),
-            cbam_kernels=tuple(config.cbam_kernels[4:]))
+        self.encoder = MitEncoder(config.stages, rng, config.cbam_reduction, config.cbam_kernel)
+        self.decoder = HamDecoder(tuple(s.channels for s in config.stages), config.num_classes,
+                                  config.ham, rng, config.cbam_reduction, config.cbam_kernel)
 
     def __call__(self, images: Tensor) -> Tensor:
         return self.decoder(self.encoder(images))
@@ -107,7 +99,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= n_cls:
         raise DataError(f"labels must lie in [0, {n_cls}), got "
                         f"[{labels.min()}, {labels.max()}]")
-    return T.softmax_cross_entropy(logits, labels, axis=1)
+    return T.softmax_cross_entropy(logits, labels)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +250,7 @@ def _flat(cfg: ModelConfig) -> dict[str, object]:
     flat = {f"model.{name}": getattr(cfg, name) for name in ("num_classes", "input_size", "seed")}
     for i, stage in enumerate(cfg.stages, start=1):
         flat |= _fields(f"stage{i}", stage)
-    flat |= {"cbam.reductions": cfg.cbam_reductions, "cbam.kernels": cfg.cbam_kernels}
+    flat |= {"cbam.reduction": cfg.cbam_reduction, "cbam.kernel": cfg.cbam_kernel}
     return flat | _fields("ham", cfg.ham)
 
 
@@ -268,16 +260,14 @@ def _overlay(flat: dict[str, object], entries: dict[str, str], kind: str) -> dic
         if key not in flat:
             raise ConfigError(f"unknown {kind} key {key!r}")
         try:
-            flat[key] = (tuple(map(int, value.split(","))) if isinstance(flat[key], tuple)
-                         else type(flat[key])(value))
+            flat[key] = type(flat[key])(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
     return flat
 
 
 def config_to_text(cfg: ModelConfig) -> str:
-    return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, tuple) else value}\n"
-                   for key, value in _flat(cfg).items())
+    return "".join(f"{key} = {value}\n" for key, value in _flat(cfg).items())
 
 
 def parse_flat_text(text: str) -> dict[str, str]:
@@ -294,27 +284,25 @@ def parse_flat_text(text: str) -> dict[str, str]:
     return out
 
 
-def config_from_flat(entries: dict[str, str], base: ModelConfig | None = None) -> ModelConfig:
-    """Overlay flat ``section.key`` entries onto a base configuration."""
+def config_from_flat(entries: dict[str, str]) -> ModelConfig:
+    """Overlay flat ``section.key`` entries onto the ``model.preset`` configuration."""
     preset = entries.get("model.preset")
-    if base is None:
-        presets = {None: ModelConfig.default, "default": ModelConfig.default,
-                   "lightweight": ModelConfig.lightweight_cbam, "reduced": ModelConfig.reduced}
-        if preset not in presets:
-            raise ConfigError(f"unknown model.preset {preset!r}")
-        base = presets[preset]()
+    presets = {None: ModelConfig.default, "default": ModelConfig.default,
+               "lightweight": ModelConfig.lightweight_cbam, "reduced": ModelConfig.reduced}
+    if preset not in presets:
+        raise ConfigError(f"unknown model.preset {preset!r}")
     ours = {key: value for key, value in entries.items()  # train.* keys are the schedule's
             if key != "model.preset" and key.partition(".")[0] != "train"}
-    flat = _overlay(_flat(base), ours, "config")
+    flat = _overlay(_flat(presets[preset]()), ours, "config")
     return ModelConfig(
         stages=tuple(StageConfig(**_section(flat, f"stage{i}")) for i in range(1, 5)),
-        cbam_reductions=flat["cbam.reductions"], cbam_kernels=flat["cbam.kernels"],
+        cbam_reduction=flat["cbam.reduction"], cbam_kernel=flat["cbam.kernel"],
         ham=HamConfig(**_section(flat, "ham")), **_section(flat, "model"))
 
 
-def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> TrainSchedule:
+def schedule_from_flat(entries: dict[str, str]) -> TrainSchedule:
     ours = {key: value for key, value in entries.items() if key.partition(".")[0] == "train"}
-    flat = _overlay(_fields("train", TrainSchedule(steps=steps_default)), ours, "schedule")
+    flat = _overlay(_fields("train", TrainSchedule(steps=100)), ours, "schedule")
     return TrainSchedule(**_section(flat, "train"))
 
 
@@ -323,7 +311,7 @@ def schedule_from_flat(entries: dict[str, str], steps_default: int = 100) -> Tra
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ARMF"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def checkpoint_save(model: ArmFormer) -> bytes:

@@ -103,8 +103,8 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
     if input_hw is None:
         input_hw = (cfg.input_size, cfg.input_size)
     h, w = input_hw
-    if h % 32 or w % 32:
-        raise ConfigError(f"input size must be divisible by 32, got {input_hw}")
+    if h <= 0 or w <= 0 or h % 32 or w % 32:
+        raise ConfigError(f"input size must be a positive multiple of 32, got {input_hw}")
 
     report = ComplexityReport(input_hw=input_hw)
     add = report.breakdown.append
@@ -146,7 +146,7 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
         add(LayerCost(f"encoder.stage{i}.attention", pa, fa))
         add(LayerCost(f"encoder.stage{i}.ffn", pf, ff))
 
-        p, f = _cbam_cost(c, cfg.cbam_reductions[i - 1], cfg.cbam_kernels[i - 1], h, w)
+        p, f = _cbam_cost(c, cfg.cbam_reduction, cfg.cbam_kernel, h, w)
         add(LayerCost(f"encoder.stage{i}.cbam", p + 2 * c, f))  # + stage-final norm
         cin = c
 
@@ -156,14 +156,14 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
     hw = dh * dw
     fused = sum(s.channels for s in cfg.stages)
     ctx = cfg.ham.context_channels
-    p, f = _cbam_cost(fused, cfg.cbam_reductions[4], cfg.cbam_kernels[4], dh, dw)
+    p, f = _cbam_cost(fused, cfg.cbam_reduction, cfg.cbam_kernel, dh, dw)
     add(LayerCost("decoder.cbam_pre", p, f))
     p, f = _conv_cost(1, fused, ctx, dh, dw)
     add(LayerCost("decoder.squeeze", p, f))
     r, k = cfg.ham.rank, cfg.ham.iterations
     per_round = 2 * ctx * r * hw + 2 * r * r * hw + 2 * ctx * r * r
     add(LayerCost("decoder.ham", 0, k * per_round + ctx * r * hw))
-    p, f = _cbam_cost(ctx, cfg.cbam_reductions[5], cfg.cbam_kernels[5], dh, dw)
+    p, f = _cbam_cost(ctx, cfg.cbam_reduction, cfg.cbam_kernel, dh, dw)
     add(LayerCost("decoder.cbam_post", p, f))
     p, f = _conv_cost(1, ctx, cfg.num_classes, dh, dw)
     add(LayerCost("decoder.classifier", p, f))
@@ -199,13 +199,11 @@ class SpeedReport:
         ])
 
 
-def measure_fps(model: ArmFormer, input_hw: tuple[int, int] | None = None,
+def measure_fps(model: ArmFormer, input_hw: tuple[int, int],
                 warmup: int = 10, iters: int = 50) -> SpeedReport:
     """Wall-clock single-image inference latency (graph recording off)."""
     if iters < 10:
         raise ConfigError(f"need at least 10 timed iterations, got {iters}")
-    if input_hw is None:
-        input_hw = (model.config.input_size,) * 2
     x = Tensor(np.random.default_rng(0).uniform(0, 1, size=(1, 3) + tuple(input_hw)))
     times = []
     with T.no_grad():

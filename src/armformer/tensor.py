@@ -589,24 +589,23 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # loss
 # ----------------------------------------------------------------------
 
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, axis: int = 1) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels.
 
-    ``labels`` has the logits' shape with ``axis`` removed.  The mean runs
-    over every remaining element (batch and spatial positions alike).
+    Classes lie on axis 1; ``labels`` has the logits' shape without it.  The
+    mean runs over every remaining element (batch and spatial positions alike).
     """
     labels = np.asarray(labels)
-    expect = logits.shape[:axis] + logits.shape[axis + 1:]
-    if labels.shape != expect:
+    if labels.shape != logits.shape[:1] + logits.shape[2:]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    n_cls = logits.shape[axis]
+    n_cls = logits.shape[1]
     if labels.min() < 0 or labels.max() >= n_cls:
         raise ContractError(f"labels must lie in [0, {n_cls})")
 
-    shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    onehot = np.moveaxis(np.eye(n_cls)[labels.astype(np.int64)], -1, axis)
+    onehot = np.moveaxis(np.eye(n_cls)[labels.astype(np.int64)], -1, 1)
     n = labels.size
     data = -(onehot * logp).sum() / n
 

@@ -5,6 +5,7 @@ import pytest
 
 from armformer import data as D
 from armformer.cli import main
+from armformer.model import ArmFormer
 
 
 CONFIG_SMALL = """\
@@ -69,6 +70,30 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "x"), "--n", "2",
                      "--size", "60"]) == 3
 
+    @pytest.mark.parametrize("splits", ["-0.5,1.5,0", "nan,0,0"])
+    def test_split_fraction_outside_unit_interval(self, tmp_path, capsys, splits):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--n", "4", f"--splits={splits}"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "[0, 1]" in err[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--size", "0"], ["bench", "--size", "-32"], ["bench", "--size", "48"],
+    ["synth", "--n", "2", "--size", "0"], ["synth", "--n", "2", "--size", "-32"]],
+    ids=" ".join)
+def test_bad_size_is_validation_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "reduced.cfg"
+    cfg.write_text("model.preset = reduced\n")
+    extra = (["--config", str(cfg), "--warmup", "1", "--iters", "10"] if argv[0] == "bench"
+             else ["--out", str(tmp_path / "d")])
+    capsys.readouterr()
+    assert main(argv + extra) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "positive multiple of 32" in err[0]
+
 
 class TestTrain:
     def test_checkpoint_and_log_written(self, workspace):
@@ -129,6 +154,21 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt"), "--steps", "2"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{field} must be" in err[0]
+
+    @pytest.mark.parametrize("line, steps", [("train.lr = nan", "2"), ("", "0")])
+    def test_schedule_validated_before_data_and_model(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, line, steps):
+        _, data_dir, _, _ = workspace
+        calls = []
+        monkeypatch.setattr(D.SegDataset, "load_all", lambda self: calls.append("load_all"))
+        monkeypatch.setattr(ArmFormer, "__init__", lambda self, cfg: calls.append("model"))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"model.preset = reduced\n{line}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x.ckpt"), "--steps", steps]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert calls == []
 
     def test_steps_override(self, workspace, tmp_path):
         _, data_dir, config, _ = workspace

@@ -29,7 +29,7 @@ def toy_pyramid(b=1, base=16, channels=(32, 64, 160, 256), fill=None, seed=0):
 class TestHamConfig:
     def test_defaults(self):
         cfg = HamConfig()
-        assert cfg.rank == 64 and cfg.iterations == 6
+        assert cfg.rank == 16 and cfg.iterations == 2
         assert cfg.context_channels == 256
 
     def test_rank_bounds(self):
@@ -105,7 +105,7 @@ class TestDecoder:
     def build(self, channels=(8, 16, 24, 32), ctx=16, rank=8, iters=2, seed=0,
               num_classes=6):
         ham = HamConfig(rank=rank, iterations=iters, context_channels=ctx)
-        return HamDecoder(channels, num_classes, ham, rng(seed))
+        return HamDecoder(channels, num_classes, ham, rng(seed), 16, 7)
 
     def test_logits_shape(self):
         dec = self.build(channels=(32, 64, 160, 256), ctx=64, rank=8)

@@ -15,7 +15,7 @@ def rng(seed=0):
 
 
 def build_encoder(seed=0, stages=DEFAULT_STAGES):
-    return MitEncoder(stages, rng(seed), cbam_reductions=(16,) * 4, cbam_kernels=(7,) * 4)
+    return MitEncoder(stages, rng(seed), cbam_reduction=16, cbam_kernel=7)
 
 
 def set_identity_linear(linear):
@@ -185,13 +185,12 @@ class TestEncoderForward:
 
     def test_four_stages_required(self):
         with pytest.raises(ConfigError):
-            MitEncoder(DEFAULT_STAGES[:3], rng(20), (16,) * 3, (7,) * 3)
+            MitEncoder(DEFAULT_STAGES[:3], rng(20), 16, 7)
 
 
 class TestStageGradients:
     def test_single_stage_gradcheck(self):
-        enc = MitEncoder((StageConfig(6, 1, 2, 2),) + DEFAULT_STAGES[1:], rng(21),
-                         (16,) * 4, (7,) * 4)
+        enc = MitEncoder((StageConfig(6, 1, 2, 2),) + DEFAULT_STAGES[1:], rng(21), 16, 7)
         stage = enc.stages[0]
         rescale_for_check(stage, seed=23)
         x = Tensor(rng(22).uniform(-1, 1, size=(1, 3, 32, 32)), requires_grad=True)

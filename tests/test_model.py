@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from armformer.decoder import HamConfig
 from armformer.errors import (CheckpointError, ConfigError, DataError,
                               TrainingError)
 from armformer.model import (AdamW, ArmFormer, ModelConfig, TrainSchedule,
@@ -73,7 +74,12 @@ class TestModelInit:
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=1)
         with pytest.raises(ConfigError):
-            ModelConfig(cbam_reductions=(16,) * 5)
+            ModelConfig(cbam_kernel=4)
+        with pytest.raises(ConfigError):
+            ModelConfig(cbam_reduction=0)
+
+    def test_default_ham_is_ham_config_default(self):
+        assert ModelConfig().ham == HamConfig()
 
 
 class TestForward:
@@ -271,7 +277,7 @@ class TestCheckpoint:
 
     def test_version_1_rejected_by_version(self):
         blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
-        for version in (1, 2):  # earlier layouts carry config keys that are gone
+        for version in (1, 2, 3):  # earlier layouts carry config keys that are gone
             blob[4:8] = version.to_bytes(4, "little")
             with pytest.raises(CheckpointError,
                                match=f"unsupported checkpoint version {version}"):
@@ -285,6 +291,15 @@ class TestCheckpoint:
         forged = (blob[:8] + len(text).to_bytes(4, "little") + text
                   + blob[12 + cfg_len:])
         with pytest.raises(CheckpointError, match="seed must be >= 0"):
+            checkpoint_load(self._resealed(bytearray(forged)))
+
+    def test_even_cbam_kernel_in_checkpoint_rejected(self):
+        blob = checkpoint_save(ArmFormer(toy_config()))
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        text = blob[12:12 + cfg_len].replace(b"cbam.kernel = 7\n", b"cbam.kernel = 4\n")
+        assert len(text) == cfg_len
+        forged = blob[:12] + text + blob[12 + cfg_len:]
+        with pytest.raises(CheckpointError, match="cbam kernel must be odd"):
             checkpoint_load(self._resealed(bytearray(forged)))
 
 
@@ -303,7 +318,8 @@ class TestConfigText:
 
     @pytest.mark.parametrize("key", ["model.bogus", "ham.one_step_grad", "ham.eps",
                                      "stage1.patch_stride", "stage2.patch_kernel",
-                                     "stage3.patch_padding", "stage4.ffn_expansion"])
+                                     "stage3.patch_padding", "stage4.ffn_expansion",
+                                     "cbam.reductions", "cbam.kernels"])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_flat({key: "1"})
@@ -317,11 +333,22 @@ class TestConfigText:
     def test_key_table(self):
         text = config_to_text(ModelConfig.reduced())
         assert len(text.splitlines()) == 25
-        assert "cbam.kernels = 7,7,7,7,7,7\n" in text
+        assert "cbam.kernel = 7\n" in text
         assert "ham.eps" not in text and "ham.one_step_grad" not in text
         assert "patch_" not in text and "ffn_expansion" not in text
         for cfg in (ModelConfig.default(), ModelConfig.lightweight_cbam()):
             assert len(config_to_text(cfg).splitlines()) == 25
+            assert "," not in config_to_text(cfg)
+        assert "," not in text
+
+    def test_cbam_keys_reach_all_six_sites(self):
+        cfg = config_from_flat({"model.preset": "reduced",
+                                "cbam.reduction": "8", "cbam.kernel": "5"})
+        model = ArmFormer(cfg)
+        sites = [s.cbam for s in model.encoder.stages]
+        sites += [model.decoder.cbam_pre, model.decoder.cbam_post]
+        assert [b.w1.shape[1] for b in sites] == [1, 2, 3, 4, 10, 8]
+        assert all(b.conv.weight.shape == (1, 2, 5, 5) for b in sites)
 
     @pytest.mark.parametrize("section", ["stage0", "stage5", "stage-2", "stage01"])
     def test_stage_section_out_of_range_rejected(self, section):
@@ -345,5 +372,5 @@ class TestConfigText:
 
     def test_lightweight_preset_values(self):
         cfg = ModelConfig.lightweight_cbam()
-        assert cfg.cbam_reductions == (32,) * 6
-        assert cfg.cbam_kernels == (3,) * 6
+        assert cfg.cbam_reduction == 32
+        assert cfg.cbam_kernel == 3
