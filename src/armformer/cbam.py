@@ -35,7 +35,6 @@ class CBAM(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator,
                  reduction: int = 16, kernel: int = 7):
-        super().__init__()
         if kernel % 2 != 1 or kernel < 1:
             raise ConfigError(f"spatial kernel must be odd and positive, got {kernel}")
         if reduction < 1:

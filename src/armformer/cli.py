@@ -108,11 +108,10 @@ def _eval_model(model: ArmFormer, dataset: D.SegDataset,
 
 def _cmd_train(args) -> int:
     entries = _load_config_file(args.config)
-    config = config_from_flat(entries)
-    sched = schedule_from_flat(entries)
     if args.steps is not None:
-        sched.steps = args.steps
-    sched.validate()  # before the split is read and the model is built
+        entries["train.steps"] = str(args.steps)
+    config = config_from_flat(entries)
+    sched = schedule_from_flat(entries)  # validated before the data and the model
     dataset = D.SegDataset(Path(args.data), "train", config.input_size)
     if len(dataset) == 0:
         raise DataError(f"train split of {args.data} is empty")

@@ -120,7 +120,6 @@ class HamDecoder(Module):
 
     def __init__(self, in_channels: tuple[int, int, int, int], num_classes: int,
                  ham: HamConfig, rng: np.random.Generator, cbam_reduction: int, cbam_kernel: int):
-        super().__init__()
         fused = sum(in_channels)
         self.ham = ham
         self.cbam_pre = CBAM(fused, rng, cbam_reduction, cbam_kernel)

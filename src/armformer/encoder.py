@@ -75,7 +75,6 @@ def map_to_tokens(x: Tensor) -> tuple[Tensor, int, int]:
 class OverlapPatchEmbed(Module):
     def __init__(self, in_channels: int, channels: int, kernel: int, stride: int,
                  rng: np.random.Generator):
-        super().__init__()
         self.conv = Conv2d(in_channels, channels, kernel, rng, stride=stride, padding=kernel // 2)
         self.norm = LayerNorm(channels)
 
@@ -88,7 +87,6 @@ class EfficientSelfAttention(Module):
     """Scaled dot-product attention with spatially reduced keys/values."""
 
     def __init__(self, channels: int, heads: int, sr_ratio: int, rng: np.random.Generator):
-        super().__init__()
         self.heads = heads
         self.head_dim = channels // heads
         self.scale = 1.0 / math.sqrt(self.head_dim)
@@ -126,7 +124,6 @@ class MixFFN(Module):
     """Feed-forward block with an interior depthwise 3x3 convolution."""
 
     def __init__(self, channels: int, rng: np.random.Generator):
-        super().__init__()
         hidden = channels * FFN_EXPANSION
         self.fc1 = Linear(channels, hidden, rng)
         self.dw = Conv2d(hidden, hidden, 3, rng, padding=1, groups=hidden)
@@ -140,7 +137,6 @@ class MixFFN(Module):
 
 class TransformerBlock(Module):
     def __init__(self, cfg: StageConfig, rng: np.random.Generator):
-        super().__init__()
         self.norm1 = LayerNorm(cfg.channels)
         self.attn = EfficientSelfAttention(cfg.channels, cfg.heads, cfg.sr_ratio, rng)
         self.norm2 = LayerNorm(cfg.channels)
@@ -154,7 +150,6 @@ class TransformerBlock(Module):
 class Stage(Module):
     def __init__(self, in_channels: int, cfg: StageConfig, geometry: tuple[int, int],
                  rng: np.random.Generator, cbam_reduction: int, cbam_kernel: int):
-        super().__init__()
         self.embed = OverlapPatchEmbed(in_channels, cfg.channels, *geometry, rng)
         self.blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.depth)]
         self.norm = LayerNorm(cfg.channels)
@@ -171,7 +166,6 @@ class Stage(Module):
 class MitEncoder(Module):
     def __init__(self, stages: Sequence[StageConfig], rng: np.random.Generator,
                  cbam_reduction: int, cbam_kernel: int):
-        super().__init__()
         if len(stages) != 4:
             raise ConfigError(f"encoder needs exactly 4 stages, got {len(stages)}")
         in_channels = (3,) + tuple(s.channels for s in stages[:3])  # RGB, then each stage's

@@ -57,7 +57,6 @@ class MetricReport:
     class_names: tuple[str, ...]
     iou: np.ndarray      # nan where skipped
     acc: np.ndarray      # per-class recall
-    precision: np.ndarray
     fscore: np.ndarray
     include_background: bool
 
@@ -83,16 +82,14 @@ def compute_metrics(cm: ConfusionMatrix, include_background: bool = True,
     with np.errstate(divide="ignore", invalid="ignore"):
         iou = tp / (tp + fp + fn)
         acc = tp / (tp + fn)
-        precision = tp / (tp + fp)
         fscore = 2.0 * tp / (2.0 * tp + fp + fn)
     skipped = (tp + fp + fn) == 0
-    for arr in (iou, acc, precision, fscore):
+    for arr in (iou, acc, fscore):
         arr[skipped] = np.nan
     start = 0 if include_background else 1
     names = class_names or tuple(f"class{i}" for i in range(cm.num_classes))
     return MetricReport(class_names=names[start:], iou=iou[start:], acc=acc[start:],
-                        precision=precision[start:], fscore=fscore[start:],
-                        include_background=include_background)
+                        fscore=fscore[start:], include_background=include_background)
 
 
 def format_report(report: MetricReport) -> str:

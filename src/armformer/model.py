@@ -6,11 +6,12 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .data import NUM_CLASSES
 from .decoder import HamConfig, HamDecoder
 from .encoder import DEFAULT_STAGES, MitEncoder, StageConfig
 from .errors import (CheckpointError, ConfigError, DataError, TrainingError)
@@ -37,7 +38,7 @@ class ModelConfig:
     cbam_reduction: int = 16
     cbam_kernel: int = 7
     ham: HamConfig = field(default_factory=HamConfig)
-    num_classes: int = 6
+    num_classes: ClassVar[int] = NUM_CLASSES  # the label palette fixes the class set
     input_size: int = 640
     seed: int = 0
 
@@ -48,8 +49,6 @@ class ModelConfig:
             raise ConfigError(f"cbam reduction must be >= 1, got {self.cbam_reduction}")
         if self.cbam_kernel < 1 or self.cbam_kernel % 2 == 0:
             raise ConfigError(f"cbam kernel must be odd and positive, got {self.cbam_kernel}")
-        if self.num_classes < 2:
-            raise ConfigError("need at least 2 classes")
         if self.input_size <= 0 or self.input_size % 32:
             raise ConfigError(
                 f"input_size must be a positive multiple of 32, got {self.input_size}")
@@ -75,7 +74,6 @@ class ModelConfig:
 
 class ArmFormer(Module):
     def __init__(self, config: ModelConfig):
-        super().__init__()
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.encoder = MitEncoder(config.stages, rng, config.cbam_reduction, config.cbam_kernel)
@@ -106,7 +104,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # optimizer and training loop
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSchedule:
     steps: int
     batch_size: int = 2
@@ -115,7 +113,7 @@ class TrainSchedule:
     seed: int = 0
     eval_every: int = 0  # 0 disables the periodic eval hook
 
-    def validate(self):
+    def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -208,7 +206,6 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
     given it runs every ``sched.eval_every`` steps (and on the final step)
     and its result is stored in the history.
     """
-    sched.validate()
     if len(data) == 0:
         raise DataError("dataset is empty")
     opt = AdamW([(n, p) for n, p in model.named_parameters()],
@@ -247,7 +244,7 @@ def _section(flat: dict[str, object], section: str) -> dict[str, object]:
 
 def _flat(cfg: ModelConfig) -> dict[str, object]:
     """Every key a config file may set, mapped to its value in ``cfg``, in file order."""
-    flat = {f"model.{name}": getattr(cfg, name) for name in ("num_classes", "input_size", "seed")}
+    flat = {f"model.{name}": getattr(cfg, name) for name in ("input_size", "seed")}
     for i, stage in enumerate(cfg.stages, start=1):
         flat |= _fields(f"stage{i}", stage)
     flat |= {"cbam.reduction": cfg.cbam_reduction, "cbam.kernel": cfg.cbam_kernel}
@@ -311,7 +308,7 @@ def schedule_from_flat(entries: dict[str, str]) -> TrainSchedule:
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ARMF"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def checkpoint_save(model: ArmFormer) -> bytes:

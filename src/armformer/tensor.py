@@ -324,9 +324,20 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = x.size if axis is None else np.prod(
-        [x.shape[a] for a in ((axis,) if isinstance(axis, int) else axis)])
-    return mul(reduce_sum(x, axis, keepdims), 1.0 / float(count))
+    return _mean(x, axis, keepdims, "mean")
+
+
+def _mean(x: Tensor, axis, keepdims: bool, op: str) -> Tensor:
+    """Mean over ``axis`` (every axis when None); the gradient spreads evenly."""
+    data = x.data.mean(axis=axis, keepdims=keepdims)
+    count = x.size // data.size
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g / count, x.shape).copy())
+
+    return _make(data, (x,), op, backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -516,16 +527,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 def _avg_or_max(x: Tensor, kind: str, axis, op: str) -> Tensor:
     """Mean or max over ``axis``, kept as size 1; a max gradient splits evenly among ties."""
     if kind == "avg":
-        data = x.data.mean(axis=axis, keepdims=True)
+        return _mean(x, axis, True, op)
+    data = x.data.max(axis=axis, keepdims=True)
 
-        def backward(g):
-            x._accumulate(np.broadcast_to(g / (x.size // data.size), x.shape).copy())
-    else:
-        data = x.data.max(axis=axis, keepdims=True)
-
-        def backward(g):
-            mask = (x.data == data)
-            x._accumulate(g * mask / mask.sum(axis=axis, keepdims=True))
+    def backward(g):
+        mask = (x.data == data)
+        x._accumulate(g * mask / mask.sum(axis=axis, keepdims=True))
 
     return _make(data, (x,), op, backward)
 
@@ -566,8 +573,7 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
 def _bilinear(x: np.ndarray, out_h: int, out_w: int):
     """Bilinear resize of the last two axes; also returns the row and column weights."""
     h, w = x.shape[-2:]
-    wr = np.eye(h) if out_h == h else _resize_weights(h, out_h)
-    wc = np.eye(w) if out_w == w else _resize_weights(w, out_w)
+    wr, wc = _resize_weights(h, out_h), _resize_weights(w, out_w)
     return wr @ x @ wc.T, wr, wc
 
 

@@ -61,11 +61,9 @@ class TestComputeMetrics:
         rep = compute_metrics(cm_from([[1, 1], [0, 2]]))
         assert rep.iou[0] == pytest.approx(1 / 2)
         assert rep.acc[0] == pytest.approx(1 / 2)
-        assert rep.precision[0] == pytest.approx(1.0)
         assert rep.fscore[0] == pytest.approx(2 / 3)
         assert rep.iou[1] == pytest.approx(2 / 3)
         assert rep.acc[1] == pytest.approx(1.0)
-        assert rep.precision[1] == pytest.approx(2 / 3)
         assert rep.fscore[1] == pytest.approx(4 / 5)
         assert rep.miou == pytest.approx((1 / 2 + 2 / 3) / 2)
 

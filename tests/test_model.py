@@ -72,8 +72,6 @@ class TestModelInit:
         with pytest.raises(ConfigError):
             ModelConfig(input_size=100)
         with pytest.raises(ConfigError):
-            ModelConfig(num_classes=1)
-        with pytest.raises(ConfigError):
             ModelConfig(cbam_kernel=4)
         with pytest.raises(ConfigError):
             ModelConfig(cbam_reduction=0)
@@ -241,6 +239,19 @@ class TestCheckpoint:
         loaded = checkpoint_load(checkpoint_save(model))
         assert np.array_equal(loaded(x).data, expect)
 
+    # SHA-256 of the parameter table (count, then name, shape and float64 payload
+    # per parameter) as first written; a renamed, reordered, reshaped or
+    # re-initialized parameter changes it
+    @pytest.mark.parametrize("preset, digest", [
+        ("reduced", "603dd93335f8c31ad6ed45a4137855f29f9c590ebf018c384c0ef354bde045e0"),
+        ("default", "b05f21219262d53493bd549abd7dee500d0d14bbafd10408c355505bb4fe1716"),
+    ])
+    def test_parameter_table_pinned(self, preset, digest):
+        import hashlib
+        blob = checkpoint_save(ArmFormer(getattr(ModelConfig, preset)()))
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        assert hashlib.sha256(blob[12 + cfg_len:-8]).hexdigest() == digest
+
     def test_single_corrupt_byte_detected(self):
         blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
         blob[len(blob) // 2] ^= 0x40
@@ -277,7 +288,7 @@ class TestCheckpoint:
 
     def test_version_1_rejected_by_version(self):
         blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
-        for version in (1, 2, 3):  # earlier layouts carry config keys that are gone
+        for version in (1, 2, 3, 4):  # earlier layouts carry config keys that are gone
             blob[4:8] = version.to_bytes(4, "little")
             with pytest.raises(CheckpointError,
                                match=f"unsupported checkpoint version {version}"):
@@ -319,7 +330,7 @@ class TestConfigText:
     @pytest.mark.parametrize("key", ["model.bogus", "ham.one_step_grad", "ham.eps",
                                      "stage1.patch_stride", "stage2.patch_kernel",
                                      "stage3.patch_padding", "stage4.ffn_expansion",
-                                     "cbam.reductions", "cbam.kernels"])
+                                     "cbam.reductions", "cbam.kernels", "model.num_classes"])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_flat({key: "1"})
@@ -332,12 +343,12 @@ class TestConfigText:
 
     def test_key_table(self):
         text = config_to_text(ModelConfig.reduced())
-        assert len(text.splitlines()) == 25
+        assert len(text.splitlines()) == 24
         assert "cbam.kernel = 7\n" in text
         assert "ham.eps" not in text and "ham.one_step_grad" not in text
         assert "patch_" not in text and "ffn_expansion" not in text
         for cfg in (ModelConfig.default(), ModelConfig.lightweight_cbam()):
-            assert len(config_to_text(cfg).splitlines()) == 25
+            assert len(config_to_text(cfg).splitlines()) == 24
             assert "," not in config_to_text(cfg)
         assert "," not in text
 
