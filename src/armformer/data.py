@@ -50,19 +50,10 @@ class DecodeStats:
 decode_stats = DecodeStats()
 
 
-def _nearest_class_lut() -> np.ndarray:
-    lut = np.empty(256, dtype=np.int64)
-    for byte in range(256):
-        # ties break toward the smaller gray value, i.e. the first match
-        best = min(GRAY_VALUES, key=lambda g: (abs(byte - g), g))
-        lut[byte] = GRAY_VALUES.index(best)
-    return lut
-
-
-_CLASS_LUT = _nearest_class_lut()
-_EXACT = np.zeros(256, dtype=bool)
-for _g in GRAY_VALUES:
-    _EXACT[_g] = True
+# byte -> class id of the nearest gray value; argmin's first match breaks a tie
+# toward the smaller gray value, since GRAY_VALUES ascends
+_CLASS_LUT = np.abs(np.arange(256)[:, None] - np.asarray(GRAY_VALUES)).argmin(axis=1)
+_EXACT = np.isin(np.arange(256), GRAY_VALUES)
 
 
 def decode_mask(gray: np.ndarray) -> np.ndarray:

@@ -39,10 +39,10 @@ class StageConfig:
     sr_ratio: int
 
     def __post_init__(self):
+        if min(self.channels, self.depth, self.heads, self.sr_ratio) < 1:
+            raise ConfigError(f"invalid stage config {self}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
-        if min(self.depth, self.heads, self.sr_ratio) < 1:
-            raise ConfigError(f"invalid stage config {self}")
 
 
 DEFAULT_STAGES = (

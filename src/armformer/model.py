@@ -118,6 +118,8 @@ class TrainSchedule:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:

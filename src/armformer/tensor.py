@@ -11,6 +11,9 @@ Conventions fixed here (and relied on by the tests):
 * bilinear_resize samples half-pixel centers (align_corners=False),
 * gelu uses the tanh approximation,
 * softmax subtracts the per-axis max before exponentiating.
+
+conv2d lowers every kernel through one strided window view of its input, which
+the GEMM operand's reshape copies once; a pointwise conv reads ``x`` in place.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
@@ -157,15 +161,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
     def __truediv__(self, other):
         return div(self, other)
 
@@ -273,8 +268,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, *shape) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old = x.shape
     data = x.data.reshape(shape)
 
@@ -285,10 +278,6 @@ def reshape(x: Tensor, *shape) -> Tensor:
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    if not axes:
-        axes = tuple(reversed(range(x.ndim)))
     inverse = np.argsort(axes)
     data = x.data.transpose(axes)
 
@@ -460,15 +449,14 @@ def _conv_out(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    b, c, h, w = x.shape
-    oh = _conv_out(h, kh, stride, padding)
-    ow = _conv_out(w, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols, oh, ow
+    """Every conv window of ``x`` as a strided view of shape (B, C, kh, kw, OH, OW)."""
+    oh = _conv_out(x.shape[2], kh, stride, padding)
+    ow = _conv_out(x.shape[3], kw, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
+    return windows.transpose(0, 1, 4, 5, 2, 3), oh, ow
 
 
 def _col2im(cols: np.ndarray, shape, stride: int, padding: int) -> np.ndarray:
@@ -495,14 +483,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},)")
 
-    if kh == kw == stride == 1 and padding == 0:
-        # a pointwise conv reads x as is: its im2col would be a plain copy
-        oh, ow = x.shape[2], x.shape[3]
-        cols = x.data
-    else:
-        cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    # (B, G, Cg*kh*kw, OH*OW) x (G, Cout/G, Cg*kh*kw) -> (B, G, Cout/G, OH*OW)
-    cols_g = cols.reshape(b, groups, cin_g * kh * kw, oh * ow)
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    # (B, G, Cg*kh*kw, OH*OW) x (G, Cout/G, Cg*kh*kw) -> (B, G, Cout/G, OH*OW). On a
+    # one-column map the reshape can stay a strided view, which matmul would sum
+    # outside BLAS to other bits, so it is copied C-ordered like the rest.
+    cols_g = np.ascontiguousarray(cols.reshape(b, groups, cin_g * kh * kw, oh * ow))
     w_g = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
     out = np.matmul(w_g, cols_g).reshape(b, cout, oh, ow)
     if bias is not None:
@@ -558,15 +543,14 @@ def reduce_channel(x: Tensor, kind: str) -> Tensor:
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
     """Dense (n_out, n_in) bilinear weights under half-pixel-center sampling."""
     w = np.zeros((n_out, n_in))
-    scale = n_in / n_out
-    for o in range(n_out):
-        src = (o + 0.5) * scale - 0.5
-        i0 = int(np.floor(src))
-        frac = src - i0
-        i0c = min(max(i0, 0), n_in - 1)
-        i1c = min(max(i0 + 1, 0), n_in - 1)
-        w[o, i0c] += 1.0 - frac
-        w[o, i1c] += frac
+    rows = np.arange(n_out)
+    src = (rows + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(src)
+    frac = src - i0
+    i0 = i0.astype(np.int64)
+    # where both taps clip to one edge pixel, its weight sums (1 - frac) + frac
+    np.add.at(w, (rows, np.clip(i0, 0, n_in - 1)), 1.0 - frac)
+    np.add.at(w, (rows, np.clip(i0 + 1, 0, n_in - 1)), frac)
     return w
 
 

@@ -143,7 +143,8 @@ class TestTrain:
         ("model.input_size = 0", "input_size"), ("model.input_size = -32", "input_size"),
         ("model.seed = -1", "seed"), ("ham.seed = -5", "ham seed"),
         ("train.seed = -1", "seed"), ("train.eval_every = -1", "eval_every"),
-        ("train.lr = nan", "lr")])
+        ("train.lr = nan", "lr"), ("train.weight_decay = nan", "weight_decay"),
+        ("train.weight_decay = inf", "weight_decay"), ("train.weight_decay = -1", "weight_decay")])
     def test_out_of_range_value_is_validation_error(self, workspace, tmp_path, capsys,
                                                      line, field):
         _, data_dir, _, _ = workspace

@@ -27,6 +27,10 @@ class TestPalette:
         # |60-51|=9 beats |60-102|=42, and so on
         assert np.array_equal(D.decode_mask(gray), [1, 1, 2, 5, 4])
         assert D.decode_stats.off_palette - before == 5
+        # every byte snaps to the nearest gray value, a tie to the smaller one
+        nearest = [min(D.GRAY_VALUES, key=lambda g: (abs(b - g), g)) for b in range(256)]
+        assert np.array_equal(D.decode_mask(np.arange(256, dtype=np.uint8)),
+                              [D.GRAY_VALUES.index(g) for g in nearest])
 
     def test_decode_is_total_and_idempotent(self):
         every_byte = np.arange(256, dtype=np.uint8)

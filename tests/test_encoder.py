@@ -28,6 +28,11 @@ class TestStageConfig:
         with pytest.raises(ConfigError):
             StageConfig(30, 2, 4, 1)
 
+    @pytest.mark.parametrize("fields", [(0, 2, 1, 1), (8, 0, 1, 1), (8, 2, 0, 1), (8, 2, 1, 0)])
+    def test_non_positive_field_is_config_error(self, fields):
+        with pytest.raises(ConfigError, match="invalid stage config"):
+            StageConfig(*fields)
+
     def test_default_schedule(self):
         assert [s.channels for s in DEFAULT_STAGES] == [32, 64, 160, 256]
         assert [stride for _, stride in PATCH_GEOMETRY] == [4, 2, 2, 2]

@@ -142,7 +142,7 @@ class TestAdamW:
         got = []
         for _ in range(3):
             w.zero_grad()
-            ((w - 3.0) * (w - 3.0)).sum().backward()
+            ((w + (-3.0)) * (w + (-3.0))).sum().backward()
             opt.step()
             got.append(float(w.data[0]))
         assert np.allclose(got, trace, atol=1e-14)
@@ -311,6 +311,15 @@ class TestCheckpoint:
         assert len(text) == cfg_len
         forged = blob[:12] + text + blob[12 + cfg_len:]
         with pytest.raises(CheckpointError, match="cbam kernel must be odd"):
+            checkpoint_load(self._resealed(bytearray(forged)))
+
+    def test_zero_stage_channels_in_checkpoint_rejected(self):
+        blob = checkpoint_save(ArmFormer(toy_config()))
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        text = blob[12:12 + cfg_len].replace(b"stage1.channels = 8\n", b"stage1.channels = 0\n")
+        assert len(text) == cfg_len and text != blob[12:12 + cfg_len]
+        forged = blob[:12] + text + blob[12 + cfg_len:]
+        with pytest.raises(CheckpointError, match="invalid stage config"):
             checkpoint_load(self._resealed(bytearray(forged)))
 
 

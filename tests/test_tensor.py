@@ -387,23 +387,27 @@ class TestBackward:
 # kernel contracts of the allocation-light gelu, softmax and 1x1 conv
 # ----------------------------------------------------------------------
 
-def _im2col_pointwise(x, w, b, groups):
-    """A 1x1, stride-1 conv computed through the generic im2col route."""
-    cols, oh, ow = T._im2col(x, 1, 1, 1, 0)
-    n, cin = x.shape[:2]
-    cout = w.shape[0]
-    w_g = w.reshape(groups, cout // groups, cin // groups)
-    out = np.matmul(w_g, cols.reshape(n, groups, cin // groups, oh * ow))
-    out = out.reshape(n, cout, oh, ow)
-    return out if b is None else out + b.reshape(1, cout, 1, 1)
+def _tap_copy_conv(x, w, bias, stride, padding, groups):
+    """A conv whose windows are copied tap by tap into a C-ordered GEMM operand."""
+    (b, c, h, wd), (cout, cin_g, kh, kw) = x.shape, w.shape
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((b, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    out = np.matmul(w.reshape(groups, cout // groups, cin_g * kh * kw),
+                    cols.reshape(b, groups, cin_g * kh * kw, oh * ow))
+    out = out.reshape(b, cout, oh, ow)
+    return out if bias is None else out + bias.reshape(1, cout, 1, 1)
 
 
 class TestKernelContracts:
     @pytest.fixture
     def im2col_calls(self, monkeypatch):
-        calls = []
+        calls = []  # the (cols, oh, ow) each call returned
         im2col = T._im2col
-        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(im2col(*a)) or calls[-1])
         return calls
 
     @pytest.mark.parametrize("grad", [False, True])
@@ -442,8 +446,12 @@ class TestKernelContracts:
         w = rng.normal(size=(6, 4 // groups, 1, 1))
         b = rng.normal(size=(6,)) if with_bias else None
         out = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), groups=groups)
-        assert im2col_calls == []
-        assert np.array_equal(out.data, _im2col_pointwise(x, w, b, groups))
+        assert len(im2col_calls) == 1
+        cols, oh, ow = im2col_calls[0]
+        # a pointwise conv copies nothing: its reshaped windows are x itself
+        cols_g = cols.reshape(2, groups, 4 // groups, oh * ow)
+        assert np.shares_memory(cols_g, x) and cols_g.flags.c_contiguous
+        assert np.array_equal(out.data, _tap_copy_conv(x, w, b, 1, 0, groups))
         assert np.allclose(out.data, conv2d_oracle(x, w, b, groups=groups), atol=1e-12)
 
     def test_strided_pointwise_conv_keeps_im2col(self, im2col_calls):
@@ -455,6 +463,21 @@ class TestKernelContracts:
         assert len(im2col_calls) == 1
         assert out.shape == (1, 4, 3, 3)
         assert np.allclose(out.data, conv2d_oracle(x, w, b, stride=2, groups=2), atol=1e-12)
+
+    @pytest.mark.parametrize("shape, k, stride, padding, groups", [
+        ((2, 4, 9, 9), 3, 2, 1, 1),  # a patch embed
+        ((2, 4, 8, 1), 3, 1, 1, 4),  # a one-column depthwise conv: the windows overlap
+        ((2, 4, 8, 7), 7, 1, 0, 4),  # one output column
+        ((2, 12, 5, 1), 1, 2, 0, 4),  # a strided pointwise conv on one column
+    ])
+    def test_window_view_equals_tap_copy(self, shape, k, stride, padding, groups):
+        # reshaping the window view may give a strided view that numpy's matmul
+        # would not hand to BLAS; the conv must still run the tap copy's GEMM
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(groups, shape[1] // groups, k, k))
+        out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, groups=groups)
+        assert np.array_equal(out.data, _tap_copy_conv(x, w, None, stride, padding, groups))
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_pointwise_conv_gradcheck(self, groups):
