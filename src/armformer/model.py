@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .data import NUM_CLASSES
 from .decoder import HamConfig, HamDecoder
-from .encoder import DEFAULT_STAGES, MitEncoder, StageConfig
+from .encoder import DEFAULT_STAGES, PATCH_GEOMETRY, MitEncoder, StageConfig
 from .errors import (CheckpointError, ConfigError, DataError, TrainingError)
 from .nn import Module
 from .tensor import Tensor
@@ -52,6 +52,12 @@ class ModelConfig:
         if self.input_size <= 0 or self.input_size % 32:
             raise ConfigError(
                 f"input_size must be a positive multiple of 32, got {self.input_size}")
+        side = self.input_size
+        for i, (s, (_, stride)) in enumerate(zip(self.stages, PATCH_GEOMETRY), start=1):
+            side //= stride
+            if s.sr_ratio > side:
+                raise ConfigError(f"stage{i} sr_ratio must be <= its {side}x{side} map at "
+                                  f"input_size {self.input_size}, got {s.sr_ratio}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -92,11 +98,6 @@ class ArmFormer(Module):
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean pixel-wise cross-entropy over batch and spatial positions."""
-    labels = np.asarray(labels)
-    n_cls = logits.shape[1]
-    if labels.min() < 0 or labels.max() >= n_cls:
-        raise DataError(f"labels must lie in [0, {n_cls}), got "
-                        f"[{labels.min()}, {labels.max()}]")
     return T.softmax_cross_entropy(logits, labels)
 
 
@@ -398,6 +399,8 @@ def checkpoint_load(data: bytes) -> ArmFormer:
                                   f"file {shape}, model {p.shape}")
         n = int(np.prod(shape))
         payload = np.frombuffer(r.take(8 * n), dtype="<f8")
+        if not np.isfinite(payload).all():
+            raise CheckpointError(f"non-finite values in parameter {name!r}")
         p.data[...] = payload.reshape(shape)
     if r.pos != len(body):
         raise CheckpointError("trailing bytes after parameter table")

@@ -112,6 +112,9 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
     for i, (s, (kernel, stride)) in enumerate(zip(cfg.stages, PATCH_GEOMETRY), start=1):
         h //= stride  # the padded kernel // 2 conv is exact for inputs divisible by 32
         w //= stride
+        if s.sr_ratio > min(h, w):
+            raise ConfigError(f"stage{i} sr_ratio {s.sr_ratio} exceeds its {h}x{w} map "
+                              f"at input size {input_hw}")
         n = h * w
         c = s.channels
         p, f = _conv_cost(kernel, cin, c, h, w)

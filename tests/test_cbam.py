@@ -3,18 +3,12 @@ import pytest
 
 from armformer.cbam import CBAM
 from armformer.errors import ConfigError, ShapeError
-from armformer.gradcheck import grad_check
 from armformer.tensor import Tensor
 from oracles import sigmoid
 
 
 def make_cbam(channels, seed=0, reduction=16, kernel=7):
     return CBAM(channels, np.random.default_rng(seed), reduction, kernel)
-
-
-def zero_params(module):
-    for _, p in module.named_parameters():
-        p.data[...] = 0.0
 
 
 class TestChannelAttention:
@@ -26,16 +20,6 @@ class TestChannelAttention:
         m_c = cbam.channel_attention(f)
         assert m_c.shape == (2, 4, 1, 1)
         assert np.allclose(m_c.data, 0.5, atol=1e-15)
-
-    def test_spatial_permutation_invariance(self):
-        cbam = make_cbam(4, seed=2)
-        rng = np.random.default_rng(3)
-        f = rng.normal(size=(1, 4, 5, 5))
-        perm = rng.permutation(25)
-        f_perm = f.reshape(1, 4, 25)[:, :, perm].reshape(1, 4, 5, 5)
-        a = cbam.channel_attention(Tensor(f)).data
-        b = cbam.channel_attention(Tensor(f_perm)).data
-        assert np.allclose(a, b, atol=1e-12)
 
     def test_hand_computed_two_channel_case(self):
         cbam = make_cbam(2, reduction=2)  # hidden width 1
@@ -64,14 +48,6 @@ class TestSpatialAttention:
         assert m_s.shape == (2, 1, 4, 4)
         assert np.allclose(m_s.data, 0.5, atol=1e-15)
 
-    def test_channel_permutation_invariance(self):
-        cbam = make_cbam(5, seed=5)
-        rng = np.random.default_rng(6)
-        f = rng.normal(size=(1, 5, 4, 4))
-        a = cbam.spatial_attention(Tensor(f)).data
-        b = cbam.spatial_attention(Tensor(f[:, rng.permutation(5)])).data
-        assert np.allclose(a, b, atol=1e-12)
-
     def test_constant_input_all_ones_kernel(self):
         cbam = make_cbam(1, kernel=3)
         cbam.conv.weight.data[...] = 1.0
@@ -95,20 +71,6 @@ class TestApply:
         assert np.array_equal(out.data, np.zeros((2, 4, 3, 3)))
         assert np.allclose(maps.channel.data, 0.5)
 
-    def test_gates_strictly_inside_unit_interval(self):
-        for seed in range(10):
-            cbam = make_cbam(6, seed=seed)
-            f = Tensor(np.random.default_rng(100 + seed).uniform(-5, 5, size=(1, 6, 4, 4)))
-            _, maps = cbam(f)
-            for gate in (maps.channel.data, maps.spatial.data):
-                assert np.all(gate > 0.0) and np.all(gate < 1.0)
-
-    def test_attenuation_bound(self):
-        cbam = make_cbam(4, seed=8)
-        f = np.random.default_rng(9).uniform(-10, 10, size=(2, 4, 5, 5))
-        out, _ = cbam(Tensor(f))
-        assert np.all(np.abs(out.data) <= np.abs(f))
-
     def test_matches_manual_composition(self):
         cbam = make_cbam(4, seed=10)
         f = Tensor(np.random.default_rng(11).normal(size=(2, 4, 5, 5)))
@@ -130,19 +92,3 @@ class TestApply:
     def test_shape_error_propagates(self):
         with pytest.raises(ShapeError):
             make_cbam(4)(Tensor.zeros((1, 5, 3, 3)))
-
-
-class TestGradients:
-    def test_full_block_gradcheck(self):
-        cbam = make_cbam(4, seed=14)
-        x = Tensor(np.random.default_rng(15).uniform(-1, 1, size=(2, 4, 5, 5)),
-                   requires_grad=True)
-        params = dict(cbam.named_parameters())
-        params["input"] = x
-
-        def fn():
-            out, _ = cbam(x)
-            return (out * out).sum()
-
-        report = grad_check(fn, params, epsilon=1e-3, tolerance=1e-4)
-        assert report.passed, str(report)

@@ -80,19 +80,26 @@ class TestSynth:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench", "--size", "0"], ["bench", "--size", "-32"], ["bench", "--size", "48"],
-    ["synth", "--n", "2", "--size", "0"], ["synth", "--n", "2", "--size", "-32"]],
-    ids=" ".join)
-def test_bad_size_is_validation_error(tmp_path, capsys, argv):
+# bench reads a reduced config whose stage 4 (2x2 at input_size 64) has sr_ratio 2
+BAD_SIZES = {
+    "bench --size 0": "positive multiple of 32", "bench --size -32": "positive multiple of 32",
+    "bench --size 48": "positive multiple of 32",
+    "bench --size 32": "stage4 sr_ratio 2 exceeds its 1x1 map",
+    "synth --n 2 --size 0": "positive multiple of 32",
+    "synth --n 2 --size -32": "positive multiple of 32"}
+
+
+@pytest.mark.parametrize("args", BAD_SIZES)
+def test_bad_size_is_validation_error(tmp_path, capsys, args):
+    argv = args.split()
     cfg = tmp_path / "reduced.cfg"
-    cfg.write_text("model.preset = reduced\n")
+    cfg.write_text("model.preset = reduced\nstage4.sr_ratio = 2\n")
     extra = (["--config", str(cfg), "--warmup", "1", "--iters", "10"] if argv[0] == "bench"
              else ["--out", str(tmp_path / "d")])
     capsys.readouterr()
     assert main(argv + extra) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "positive multiple of 32" in err[0]
+    assert len(err) == 1 and BAD_SIZES[args] in err[0]
 
 
 class TestTrain:
@@ -144,7 +151,8 @@ class TestTrain:
         ("model.seed = -1", "seed"), ("ham.seed = -5", "ham seed"),
         ("train.seed = -1", "seed"), ("train.eval_every = -1", "eval_every"),
         ("train.lr = nan", "lr"), ("train.weight_decay = nan", "weight_decay"),
-        ("train.weight_decay = inf", "weight_decay"), ("train.weight_decay = -1", "weight_decay")])
+        ("train.weight_decay = inf", "weight_decay"), ("train.weight_decay = -1", "weight_decay"),
+        ("stage4.sr_ratio = 4", "sr_ratio")])
     def test_out_of_range_value_is_validation_error(self, workspace, tmp_path, capsys,
                                                      line, field):
         _, data_dir, _, _ = workspace

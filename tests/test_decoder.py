@@ -5,9 +5,7 @@ from armformer.decoder import (HamConfig, HamDecoder, fuse_pyramid,
                                ham_global_context)
 from armformer.encoder import FeaturePyramid
 from armformer.errors import ConfigError, ShapeError
-from armformer.gradcheck import grad_check
 from armformer.tensor import Tensor
-from armformer.gradcheck import rescale_for_check
 
 
 def rng(seed=0):
@@ -80,16 +78,6 @@ class TestHamContext:
             errs = np.stack([t.error for t in trace])  # (K+1, B)
             assert np.all(errs[1:] <= errs[:-1] + 1e-9)
 
-    def test_factors_stay_nonnegative(self):
-        for seed in range(10):
-            cfg = HamConfig(rank=5, iterations=6, context_channels=12, seed=seed)
-            x = Tensor(rng(100 + seed).uniform(-2, 2, size=(1, 12, 4, 4)))
-            trace = []
-            ham_global_context(x, cfg, trace=trace)
-            for entry in trace:
-                assert entry.bases.min() >= 0.0
-                assert entry.codes.min() >= 0.0
-
     def test_full_rank_tiny_problem_converges(self):
         # rank = min(C, HW): the factorization can represent Z exactly, so a
         # long multiplicative-update run must drive the relative error small
@@ -102,25 +90,24 @@ class TestHamContext:
 
 
 class TestDecoder:
-    def build(self, channels=(8, 16, 24, 32), ctx=16, rank=8, iters=2, seed=0,
-              num_classes=6):
-        ham = HamConfig(rank=rank, iterations=iters, context_channels=ctx)
-        return HamDecoder(channels, num_classes, ham, rng(seed), 16, 7)
+    def build(self, seed=0):
+        ham = HamConfig(rank=8, iterations=2, context_channels=64)
+        return HamDecoder((32, 64, 160, 256), 6, ham, rng(seed), 16, 7)
 
     def test_logits_shape(self):
-        dec = self.build(channels=(32, 64, 160, 256), ctx=64, rank=8)
+        dec = self.build()
         logits = dec(toy_pyramid(b=2))
         assert logits.shape == (2, 6, 64, 64)
 
     def test_zero_pyramid_zero_weights(self):
-        dec = self.build(channels=(32, 64, 160, 256), ctx=64)
+        dec = self.build()
         for _, p in dec.named_parameters():
             p.data[...] = 0.0
         logits = dec(toy_pyramid(fill=(0, 0, 0, 0)))
         assert np.array_equal(logits.data, np.zeros_like(logits.data))
 
     def test_pre_context_gate_is_wired(self):
-        dec = self.build(channels=(32, 64, 160, 256), ctx=64, seed=4)
+        dec = self.build(seed=4)
         pyramid = toy_pyramid(seed=5)
         import armformer.tensor as T
         from armformer.decoder import ham_global_context as ham
@@ -132,22 +119,3 @@ class TestDecoder:
         ablated = dec.classifier(x)
         ablated = T.bilinear_resize(ablated, 4 * ablated.shape[2], 4 * ablated.shape[3])
         assert not np.allclose(full.data, ablated.data)
-
-    def test_gradcheck_toy_decoder(self):
-        # 32x32 image scale: pyramid spatial sizes 8/4/2/1
-        dec = self.build(ctx=16, rank=8, iters=2, seed=6)
-        rescale_for_check(dec, seed=7)
-        r = rng(9)
-        feats = [Tensor(r.uniform(-1, 1, size=(1, c, 8 // 2 ** i, 8 // 2 ** i)),
-                        requires_grad=True)
-                 for i, c in enumerate((8, 16, 24, 32))]
-        params = dict(dec.named_parameters())
-        params.update({f"pyramid.f{i + 1}": f for i, f in enumerate(feats)})
-
-        def fn():
-            out = dec(FeaturePyramid(*feats))
-            return (out * out).mean()
-
-        report = grad_check(fn, params, epsilon=1e-3, tolerance=1e-4,
-                            max_coords_per_param=5)
-        assert report.passed, str(report)

@@ -5,7 +5,6 @@ from armformer import tensor as T
 from armformer.encoder import (DEFAULT_STAGES, PATCH_GEOMETRY, EfficientSelfAttention,
                                MitEncoder, MixFFN, OverlapPatchEmbed, StageConfig)
 from armformer.errors import ConfigError, ShapeError
-from armformer.gradcheck import grad_check, rescale_for_check
 from armformer.tensor import Tensor
 from oracles import conv2d_oracle
 
@@ -152,14 +151,6 @@ class TestMixFFN:
 
 
 class TestEncoderForward:
-    def test_pyramid_shapes_64(self):
-        enc = build_encoder(seed=13)
-        pyramid = enc(Tensor(rng(14).uniform(0, 1, size=(1, 3, 64, 64))))
-        assert pyramid.f1.shape == (1, 32, 16, 16)
-        assert pyramid.f2.shape == (1, 64, 8, 8)
-        assert pyramid.f3.shape == (1, 160, 4, 4)
-        assert pyramid.f4.shape == (1, 256, 2, 2)
-
     def test_pyramid_shapes_non_square(self):
         enc = build_encoder(seed=15)
         pyramid = enc(Tensor(rng(16).uniform(0, 1, size=(2, 3, 64, 96))))
@@ -191,21 +182,3 @@ class TestEncoderForward:
     def test_four_stages_required(self):
         with pytest.raises(ConfigError):
             MitEncoder(DEFAULT_STAGES[:3], rng(20), 16, 7)
-
-
-class TestStageGradients:
-    def test_single_stage_gradcheck(self):
-        enc = MitEncoder((StageConfig(6, 1, 2, 2),) + DEFAULT_STAGES[1:], rng(21), 16, 7)
-        stage = enc.stages[0]
-        rescale_for_check(stage, seed=23)
-        x = Tensor(rng(22).uniform(-1, 1, size=(1, 3, 32, 32)), requires_grad=True)
-        params = dict(stage.named_parameters())
-        params["input"] = x
-
-        def fn():
-            out = stage(x)
-            return (out * out).sum()
-
-        report = grad_check(fn, params, epsilon=1e-3, tolerance=1e-4,
-                            max_coords_per_param=6)
-        assert report.passed, str(report)

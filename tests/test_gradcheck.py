@@ -8,12 +8,8 @@ from armformer.errors import ContractError
 from armformer.gradcheck import grad_check
 from armformer.tensor import Tensor
 
-EPS = 1e-3
-TOL = 1e-4
-
-
 def check(fn, params, **kw):
-    report = grad_check(fn, params, epsilon=EPS, tolerance=TOL, **kw)
+    report = grad_check(fn, params, **kw)
     assert report.passed, str(report)
     return report
 
@@ -61,65 +57,14 @@ class TestPrimitiveGrads:
         a, b = rand((2, 3, 4), 6), rand((4,), 7)
         check(lambda: (a + b).sum(), {"a": a, "b": b})
 
-    def test_matmul(self):
-        a, b = rand((3, 4), 8), rand((4, 2), 9)
-        check(lambda: (T.matmul(a, b) * T.matmul(a, b)).sum(), {"a": a, "b": b})
-
     def test_batched_matmul(self):
         a, b = rand((2, 3, 4), 10), rand((4, 5), 11)
         check(lambda: (T.matmul(a, b) * T.matmul(a, b)).sum(), {"a": a, "b": b})
-
-    def test_conv2d(self):
-        x, w, b = rand((2, 3, 5, 5), 12), rand((4, 3, 3, 3), 13), rand((4,), 14)
-        check(lambda: (T.conv2d(x, w, b, stride=2, padding=1)
-                       * T.conv2d(x, w, b, stride=2, padding=1)).sum(),
-              {"x": x, "w": w, "b": b})
 
     def test_conv2d_grouped(self):
         x, w = rand((1, 4, 4, 4), 15), rand((4, 2, 3, 3), 16)
         check(lambda: (T.conv2d(x, w, padding=1, groups=2) * 1.0).sum(),
               {"x": x, "w": w})
-
-    def test_conv2d_depthwise(self):
-        x, w = rand((2, 3, 5, 5), 17), rand((3, 1, 3, 3), 18)
-        check(lambda: (T.conv2d(x, w, padding=1, groups=3)
-                       * T.conv2d(x, w, padding=1, groups=3)).sum(),
-              {"x": x, "w": w})
-
-    def test_pool_global(self):
-        x = rand((2, 3, 4, 4), 19)
-        check(lambda: (T.pool2d(x, "avg") * 3.0).sum(), {"x": x})
-        check(lambda: (T.pool2d(x, "max") * 3.0).sum(), {"x": x})
-
-    def test_reduce_channel(self):
-        x = rand((2, 5, 3, 3), 21)
-        check(lambda: (T.reduce_channel(x, "avg") * x.sum()).sum(), {"x": x})
-        check(lambda: (T.reduce_channel(x, "max") * 2.0).sum(), {"x": x})
-
-    def test_bilinear_resize(self):
-        x = rand((1, 2, 4, 5), 22)
-        check(lambda: (T.bilinear_resize(x, 7, 3) * T.bilinear_resize(x, 7, 3)).sum(),
-              {"x": x})
-
-    def test_activations(self):
-        x = rand((3, 4), 23, lo=-2.0, hi=2.0)
-        for op in (T.sigmoid, T.relu, T.gelu):
-            check(lambda f=op: (f(x) * f(x)).sum(), {"x": x})
-
-    def test_softmax(self):
-        x = rand((3, 5), 24, lo=-3.0, hi=3.0)
-        w = rand((3, 5), 25)
-        check(lambda: (T.softmax(x, axis=1) * w).sum(), {"x": x, "w": w})
-
-    def test_layer_norm(self):
-        x, g, b = rand((2, 3, 6), 26), rand((6,), 27), rand((6,), 28)
-        check(lambda: (T.layer_norm(x, g, b) * T.layer_norm(x, g, b)).sum(),
-              {"x": x, "gamma": g, "beta": b})
-
-    def test_cross_entropy(self):
-        x = rand((2, 4, 3, 3), 29, lo=-2.0, hi=2.0)
-        labels = np.random.default_rng(30).integers(0, 4, size=(2, 3, 3))
-        check(lambda: T.softmax_cross_entropy(x, labels), {"x": x})
 
     def test_transpose_reshape_concat(self):
         a, b = rand((2, 3, 4), 31), rand((2, 5, 4), 32)
