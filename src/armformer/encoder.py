@@ -115,7 +115,7 @@ class EfficientSelfAttention(Module):
             kv_src = self.sr_norm(kv_src)
         k = self._split_heads(self.k(kv_src))
         v = self._split_heads(self.v(kv_src))
-        attn = T.softmax(T.matmul(q, k.transpose(0, 1, 3, 2)) * self.scale, axis=-1)
+        attn = T.softmax(T.matmul(q, k.transpose(0, 1, 3, 2)), axis=-1, scale=self.scale)
         out = T.matmul(attn, v).transpose(0, 2, 1, 3).reshape(b, n, c)
         return self.proj(out)
 

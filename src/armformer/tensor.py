@@ -12,8 +12,11 @@ Conventions fixed here (and relied on by the tests):
 * gelu uses the tanh approximation,
 * softmax subtracts the per-axis max before exponentiating.
 
-conv2d lowers every kernel through one strided window view of its input, which
-the GEMM operand's reshape copies once; a pointwise conv reads ``x`` in place.
+conv2d lowers every kernel through one strided window view of its input.  The
+multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
+the transpose copy) work through their operands in cache-sized tiles of rows; a
+pointwise conv reads ``x`` in place as one tile.  No result depends on the tile
+size.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
+# Bytes of operand one tile of a multi-pass kernel covers: under a core's L2, so
+# each pass after the first over a tile reads cache rather than memory.
+_TILE_BYTES = 1 << 20
 
 
 class no_grad:
@@ -186,10 +192,15 @@ def _wrap(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
+def _records(parents: Iterable) -> bool:
+    """Whether an op on ``parents`` records a graph node, whose backward reads what it kept."""
+    return _GRAD_ENABLED and any(isinstance(p, Tensor) and p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Iterable[Tensor], op: str, backward) -> Tensor:
     """Assemble an op result, recording the graph only when needed."""
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    needs = _records(parents)
     out = Tensor(data, requires_grad=needs, _parents=parents if needs else (), _op=op)
     if needs:
         out._backward = backward
@@ -204,6 +215,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
+
+
+def _tiles(n: int, row_bytes: int, align: int = 1) -> tuple[int, list[slice]]:
+    """Split ``n`` rows of ``row_bytes`` each into tiles of at most ``_TILE_BYTES``.
+
+    A tile holds a multiple of ``align`` rows, and at least that many; all
+    rows make one tile when they fit.  Returns the tile height and the slices.
+    """
+    rows = max(1, min(n, max(align, _TILE_BYTES // row_bytes // align * align)))
+    return rows, [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+def _tile_store(shape: tuple[int, ...], rows: int, keep: bool):
+    """Where the row tiles of a ``shape`` intermediate land.
+
+    When ``keep`` (backward will read it) that is one full-size buffer, else
+    one scratch tile of ``rows`` rows that every tile reuses.  Returns the
+    buffer and a function from a row slice to its place in the buffer.
+    """
+    if keep:
+        buf = np.empty(shape)
+        return buf, lambda sl: buf[sl]
+    buf = np.empty((rows,) + shape[1:])
+    return buf, lambda sl: buf[:sl.stop - sl.start]
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +315,15 @@ def reshape(x: Tensor, *shape) -> Tensor:
 def transpose(x: Tensor, *axes) -> Tensor:
     inverse = np.argsort(axes)
     data = x.data.transpose(axes)
+    if not data.flags.c_contiguous:
+        # copied in slabs along the output's longest axis, so the strided side
+        # of the copy stays in cache
+        view, data = data, np.empty(data.shape)
+        axis = int(np.argmax(data.shape))
+        _, tiles = _tiles(data.shape[axis], data.nbytes // data.shape[axis])
+        for sl in tiles:
+            at = (slice(None),) * axis + (sl,)
+            data[at] = view[at]
 
     def backward(g):
         x._accumulate(g.transpose(inverse))
@@ -377,36 +421,54 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    d = x.data
-    # c*(d + 0.044715*d^3) as ((d*d)*0.044715 + 1)*d*c in one buffer: a
-    # generic float ``d ** 3`` is an order of magnitude slower than products.
-    t = d * d
-    t *= 0.044715
-    t += 1.0
-    t *= d
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    data = t + 1.0
-    data *= d
-    data *= 0.5
+    d = x.data.reshape(-1)
+    data = np.empty(d.size)
+    rows, tiles = _tiles(d.size, d.itemsize)
+    t, t_at = _tile_store(d.shape, rows, _records((x,)))
+    for sl in tiles:
+        # c*(d + 0.044715*d^3) as ((d*d)*0.044715 + 1)*d*c in one buffer: a
+        # generic float ``d ** 3`` is an order of magnitude slower than products.
+        ds, ts, out = d[sl], t_at(sl), data[sl]
+        np.multiply(ds, ds, out=ts)
+        ts *= 0.044715
+        ts += 1.0
+        ts *= ds
+        ts *= _GELU_C
+        np.tanh(ts, out=ts)
+        np.add(ts, 1.0, out=out)
+        out *= ds
+        out *= 0.5
 
     def backward(g):
+        g = g.reshape(-1)
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner))
+        dx = g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner)
+        x._accumulate(dx.reshape(x.shape))
 
-    return _make(data, (x,), "gelu", backward)
+    return _make(data.reshape(x.shape), (x,), "gelu", backward)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
+def softmax(x: Tensor, axis: int, scale: float = 1.0) -> Tensor:
+    """softmax(scale * x) along ``axis``."""
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    data = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    axis %= x.ndim
+    # rows are the index over the axes before ``axis``; each is normalized on
+    # its own, so a tile of them is reduced along axis 1
+    src = x.data.reshape((-1,) + x.shape[axis:])
+    data = np.empty(src.shape)
+    _, tiles = _tiles(len(src), math.prod(x.shape[axis:]) * src.itemsize)
+    for sl in tiles:
+        out = data[sl]
+        np.multiply(src[sl], scale, out=out)
+        out -= out.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+    data = data.reshape(x.shape)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate(data * (g - dot))
+        x._accumulate(data * (g - dot) * scale)
 
     return _make(data, (x,), "softmax", backward)
 
@@ -416,24 +478,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    xhat = (x.data - mu) * inv
-    data = gamma.data * xhat + beta.data
+    src = x.data.reshape(-1, d)
+    data = np.empty(src.shape)
+    inv = np.empty((len(src), 1))
+    rows, tiles = _tiles(len(src), d * src.itemsize)
+    xhat, xhat_at = _tile_store(src.shape, rows, _records((x, gamma, beta)))
+    for sl in tiles:
+        xs, hs, out = src[sl], xhat_at(sl), data[sl]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=hs)
+        np.multiply(hs, hs, out=out)
+        inv[sl] = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-6)
+        hs *= inv[sl]
+        np.multiply(gamma.data, hs, out=out)
+        out += beta.data
 
     def backward(g):
+        g = g.reshape(-1, d)
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+            beta._accumulate(g.sum(axis=0))
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            gamma._accumulate((g * xhat).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            x._accumulate((inv * (dxhat - m1 - xhat * m2)).reshape(x.shape))
 
-    return _make(data, (x, gamma, beta), "layer_norm", backward)
+    return _make(data.reshape(x.shape), (x, gamma, beta), "layer_norm", backward)
 
 
 # ----------------------------------------------------------------------
@@ -482,18 +553,41 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"weight expects {cin_g * groups} input channels, got {cin}")
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},)")
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"conv2d needs stride >= 1 and padding >= 0, got {stride} and {padding}")
 
     cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    # (B, G, Cg*kh*kw, OH*OW) x (G, Cout/G, Cg*kh*kw) -> (B, G, Cout/G, OH*OW). On a
-    # one-column map the reshape can stay a strided view, which matmul would sum
-    # outside BLAS to other bits, so it is copied C-ordered like the rest.
-    cols_g = np.ascontiguousarray(cols.reshape(b, groups, cin_g * kh * kw, oh * ow))
-    w_g = w.data.reshape(groups, cout // groups, cin_g * kh * kw)
-    out = np.matmul(w_g, cols_g).reshape(b, cout, oh, ow)
+    # (B, G, Cg*kh*kw, OH*OW) x (G, Cout/G, Cg*kh*kw) -> (B, G, Cout/G, OH*OW), one
+    # GEMM per slab of output rows into its columns of ``out``
+    k = cin_g * kh * kw
+    w_g = w.data.reshape(groups, cout // groups, k)
+    out = np.empty((b, groups, cout // groups, oh * ow))
+    pointwise = kh == kw == stride == 1 and not padding
+    if pointwise:  # the windows are x itself: one tile per image, read in place
+        store, tiles = cols, [slice(0, oh)]
+    else:
+        # An image's windows are copied C-ordered one slab of output rows at a
+        # time, so each GEMM reads its operand from cache.  OpenBLAS picks the
+        # kernel that sums a column by where the column falls in its blocking;
+        # slabs cut at a multiple of 16 columns (where the map allows) keep every
+        # column's bits those of one whole GEMM.
+        rows, tiles = _tiles(oh, cin * kh * kw * ow * cols.itemsize, 16 // math.gcd(ow, 16))
+        keep = _records((x, w, bias))
+        store = np.empty(cols.shape if keep else (1,) + cols.shape[1:4] + (rows, ow))
+    for i in range(b):
+        for sl in tiles:
+            if pointwise:
+                tile = cols[i]
+            else:
+                tile = store[i, ..., sl, :] if keep else store[0, ..., :sl.stop - sl.start, :]
+                np.copyto(tile, cols[i, ..., sl, :])
+            np.matmul(w_g, tile.reshape(groups, k, -1), out=out[i, ..., sl.start * ow:sl.stop * ow])
+    out = out.reshape(b, cout, oh, ow)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
 
     def backward(g):
+        cols_g = store.reshape(b, groups, k, oh * ow)
         gg = g.reshape(b, groups, cout // groups, oh * ow)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))

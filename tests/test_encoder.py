@@ -73,8 +73,8 @@ class TestAttention:
         captured = []
         softmax = T.softmax
 
-        def spy(x, axis):
-            captured.append(softmax(x, axis))
+        def spy(x, axis, scale=1.0):
+            captured.append(softmax(x, axis, scale=scale))
             return captured[-1]
 
         monkeypatch.setattr(T, "softmax", spy)

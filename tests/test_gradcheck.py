@@ -71,6 +71,11 @@ class TestPrimitiveGrads:
         check(lambda: (T.concat([a, b], axis=1).transpose(0, 2, 1).reshape(2, 32)
                        * 2.0).sum(), {"a": a, "b": b})
 
+    def test_scaled_softmax(self):
+        x = rand((2, 3, 5), 35, lo=-2.0, hi=2.0)
+        check(lambda: (T.softmax(x, axis=-1, scale=0.37) * T.softmax(x, axis=1, scale=0.37)).sum(),
+              {"x": x})
+
     def test_log_exp(self):
         x = rand((3,), 33, lo=0.5, hi=2.0)
         check(lambda: (T.log(x) + T.exp(x)).sum(), {"x": x})

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from armformer import ArmFormer, ModelConfig, cross_entropy
 from armformer import tensor as T
+from armformer.data import synth_dataset
 from armformer.errors import ContractError, ShapeError
 from armformer.gradcheck import grad_check
 from armformer.tensor import Tensor
@@ -138,6 +140,12 @@ class TestConv2d:
     def test_too_small_input(self):
         with pytest.raises(ShapeError):
             T.conv2d(Tensor.zeros((1, 1, 2, 2)), Tensor.zeros((1, 1, 5, 5)))
+
+    @pytest.mark.parametrize("stride, padding", [(0, 1), (1, -1)])
+    def test_stride_and_padding_checked(self, stride, padding):
+        with pytest.raises(ShapeError, match="stride >= 1 and padding >= 0"):
+            T.conv2d(Tensor.zeros((1, 1, 4, 4)), Tensor.zeros((1, 1, 3, 3)),
+                     stride=stride, padding=padding)
 
 
 # ----------------------------------------------------------------------
@@ -488,3 +496,135 @@ class TestKernelContracts:
         report = grad_check(lambda: T.gelu(T.conv2d(x, w, b, groups=groups)).sum(),
                             {"x": x, "w": w, "b": b})
         assert report.passed, str(report)
+
+
+# ----------------------------------------------------------------------
+# tiled kernels: no result depends on the tile size
+# ----------------------------------------------------------------------
+
+def _ragged_height(n, align):
+    """A tile height that splits ``n`` rows into several tiles, the last one shorter."""
+    heights = [r for r in range(align, n, align) if n % r]
+    return min(heights, key=lambda r: abs(r - n / 3)) if heights else None
+
+
+class TileBudget:
+    """Runs a function with the tile budget making every tile split ragged, or one tile."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.splits = []  # the row slices of every ragged split, call by call
+        monkeypatch.setattr(T, "_TILE_BYTES", T._TILE_BYTES)  # restored after the test
+
+    def whole(self, fn):
+        T._TILE_BYTES = 1 << 62
+        return fn()
+
+    def ragged(self, fn):
+        tiles = T._tiles
+
+        def split(n, row_bytes, align=1):
+            T._TILE_BYTES = (_ragged_height(n, align) or n) * row_bytes
+            rows, slices = tiles(n, row_bytes, align)
+            self.splits.append(slices)
+            return rows, slices
+
+        self.monkeypatch.setattr(T, "_tiles", split)
+        try:
+            return fn()
+        finally:
+            self.monkeypatch.setattr(T, "_tiles", tiles)
+
+    def was_ragged(self, tiles):
+        return len(tiles) > 1 and tiles[-1].stop - tiles[-1].start < tiles[0].stop - tiles[0].start
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    return TileBudget(monkeypatch)
+
+
+class TestTiles:
+    OPS = {
+        "softmax": ((3, 2, 25, 40), lambda x, p: T.softmax(x, axis=-1, scale=0.37)),
+        "softmax_axis1": ((5, 4, 6, 7), lambda x, p: T.softmax(x, axis=1, scale=0.37)),
+        "layer_norm": ((2, 37, 24), lambda x, p: T.layer_norm(x, *p)),
+        "gelu": ((3, 41, 17), lambda x, p: T.gelu(x)),
+        "transpose_021": ((2, 300, 24), lambda x, p: T.transpose(x, 0, 2, 1)),
+        "transpose_0213": ((2, 100, 3, 8), lambda x, p: T.transpose(x, 0, 2, 1, 3)),
+        "transpose_0132": ((2, 3, 100, 8), lambda x, p: T.transpose(x, 0, 1, 3, 2)),
+    }
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_op_equals_one_tile(self, budget, op, grad):
+        shape, fn = self.OPS[op]
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.normal(size=shape) * 3.0, requires_grad=grad)
+        affine = [Tensor(rng.normal(size=shape[-1]), requires_grad=grad) for _ in range(2)]
+        with T.no_grad():
+            weights = Tensor(rng.normal(size=fn(x, affine).shape))
+
+        def run():
+            for t in [x] + affine:
+                t.zero_grad()
+            out = fn(x, affine)
+            if grad:
+                (out * weights).sum().backward()
+            return [out.data] + [t.grad for t in [x] + affine if t.grad is not None]
+
+        whole, tiled = budget.whole(run), budget.ragged(run)
+        assert budget.splits and all(budget.was_ragged(t) for t in budget.splits)
+        assert len(whole) == len(tiled) == (1 + (3 if op == "layer_norm" else 1) * grad)
+        assert all(_same(a, b) for a, b in zip(whole, tiled))
+
+    def test_default_model_convs_at_640(self, budget, monkeypatch):
+        calls = {}  # one of each conv the default model runs at 640
+        conv2d = T.conv2d
+
+        def spy(x, w, bias=None, stride=1, padding=0, groups=1):
+            calls[(x.shape, w.shape, stride, padding, groups)] = None
+            return conv2d(x, w, bias, stride, padding, groups)
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        model = ArmFormer(ModelConfig.default())
+        with T.no_grad():
+            model(Tensor(np.zeros((1, 3, 640, 640))))
+        monkeypatch.setattr(T, "conv2d", conv2d)
+
+        rng = np.random.default_rng(31)
+        for x_shape, w_shape, stride, padding, groups in calls:
+            x = Tensor(rng.normal(size=x_shape))
+            w = Tensor(rng.normal(size=w_shape))
+            b = Tensor(rng.normal(size=w_shape[0]))
+            before = len(budget.splits)
+            with T.no_grad():
+                whole, tiled = (evaluate(lambda: conv2d(x, w, b, stride, padding, groups).data)
+                                for evaluate in (budget.whole, budget.ragged))
+            assert _same(whole, tiled), (x_shape, w_shape, stride, padding, groups)
+            # every windowed conv splits, each 1x1 stride-1 conv is one tile
+            pointwise = w_shape[2:] == (1, 1) and stride == 1 and padding == 0
+            assert [budget.was_ragged(t) for t in budget.splits[before:]] == [True] * (not pointwise)
+        assert len(calls) == 17
+
+    def test_reduced_model_gradients_at_128(self, budget):
+        model = ArmFormer(ModelConfig.reduced(128))
+        data = synth_dataset(32, 8, 128)
+        images = Tensor(np.stack([image for image, _ in data]))
+        labels = np.stack([mask for _, mask in data])
+
+        def step():
+            for p in model.parameters():
+                p.zero_grad()
+            loss = cross_entropy(model(images), labels)
+            loss.backward()
+            return [loss.data] + [p.grad for p in model.parameters()]
+
+        whole, tiled = budget.whole(step), budget.ragged(step)
+        assert sum(map(budget.was_ragged, budget.splits)) > 20
+        assert len(whole) == len(tiled) == 1 + len(model.parameters())
+        assert all(_same(a, b) for a, b in zip(whole, tiled))
