@@ -245,6 +245,8 @@ def synth_dataset(seed: int, count: int, size: int) -> list[tuple[np.ndarray, np
     up in any run of >= 5 samples; up to two more primitives are added where
     they fit without overlap.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if count <= 0:
         raise ConfigError(f"count must be positive, got {count}")
     if size <= 0 or size % 32:

@@ -207,6 +207,8 @@ def measure_fps(model: ArmFormer, input_hw: tuple[int, int],
     """Wall-clock single-image inference latency (graph recording off)."""
     if iters < 10:
         raise ConfigError(f"need at least 10 timed iterations, got {iters}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     x = Tensor(np.random.default_rng(0).uniform(0, 1, size=(1, 3) + tuple(input_hw)))
     times = []
     with T.no_grad():

@@ -16,7 +16,9 @@ conv2d lowers every kernel through one strided window view of its input.  The
 multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
 the transpose copy) work through their operands in cache-sized tiles of rows; a
 pointwise conv reads ``x`` in place as one tile.  No result depends on the tile
-size.
+size.  Backward recomputes what it needs from an op's operands (layer_norm keeps
+a mean and scale per row); only conv2d keeps an intermediate, its window copy,
+while recording.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce every element.
 """
 
 from __future__ import annotations
@@ -179,11 +181,11 @@ class Tensor:
     def transpose(self, *axes):
         return transpose(self, *axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def _wrap(value) -> Tensor:
@@ -193,7 +195,7 @@ def _wrap(value) -> Tensor:
 
 
 def _records(parents: Iterable) -> bool:
-    """Whether an op on ``parents`` records a graph node, whose backward reads what it kept."""
+    """Whether an op on ``parents`` records a graph node (and conv2d keeps its windows)."""
     return _GRAD_ENABLED and any(isinstance(p, Tensor) and p.requires_grad for p in parents)
 
 
@@ -225,20 +227,6 @@ def _tiles(n: int, row_bytes: int, align: int = 1) -> tuple[int, list[slice]]:
     """
     rows = max(1, min(n, max(align, _TILE_BYTES // row_bytes // align * align)))
     return rows, [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-
-
-def _tile_store(shape: tuple[int, ...], rows: int, keep: bool):
-    """Where the row tiles of a ``shape`` intermediate land.
-
-    When ``keep`` (backward will read it) that is one full-size buffer, else
-    one scratch tile of ``rows`` rows that every tile reuses.  Returns the
-    buffer and a function from a row slice to its place in the buffer.
-    """
-    if keep:
-        buf = np.empty(shape)
-        return buf, lambda sl: buf[sl]
-    buf = np.empty((rows,) + shape[1:])
-    return buf, lambda sl: buf[:sl.stop - sl.start]
 
 
 # ----------------------------------------------------------------------
@@ -344,33 +332,29 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(data, tensors, "concat", backward)
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
+    """Sum, mean (``"avg"``) or max over ``axis``, kept as size 1; to a scalar over
+    every element when ``axis`` is None.  A max gradient splits evenly among ties."""
+    reduce = {"sum": x.data.sum, "avg": x.data.mean, "max": x.data.max}[kind]
+    data = reduce(axis=axis, keepdims=axis is not None)
 
     def backward(g):
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else axis
-            g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.shape).copy())
-
-    return _make(data, (x,), "sum", backward)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _mean(x, axis, keepdims, "mean")
-
-
-def _mean(x: Tensor, axis, keepdims: bool, op: str) -> Tensor:
-    """Mean over ``axis`` (every axis when None); the gradient spreads evenly."""
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.size // data.size
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g / count, x.shape).copy())
+        if kind == "avg":
+            g = g / (x.size // data.size)
+        elif kind == "max":
+            mask = x.data == data
+            g = g * mask / mask.sum(axis=axis, keepdims=True)
+        x._accumulate(np.broadcast_to(g, x.shape))
 
     return _make(data, (x,), op, backward)
+
+
+def reduce_sum(x: Tensor) -> Tensor:
+    return _reduce(x, "sum", None, "sum")
+
+
+def reduce_mean(x: Tensor) -> Tensor:
+    return _reduce(x, "avg", None, "mean")
 
 
 def log(x: Tensor) -> Tensor:
@@ -419,28 +403,32 @@ def sigmoid(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c*(d + 0.044715*d^3)) into ``out``, formed as ((d*d)*0.044715 + 1)*d*c:
+    a generic float ``d ** 3`` is an order of magnitude slower than products."""
+    np.multiply(d, d, out=out)
+    out *= 0.044715
+    out += 1.0
+    out *= d
+    out *= _GELU_C
+    return np.tanh(out, out=out)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     d = x.data.reshape(-1)
     data = np.empty(d.size)
     rows, tiles = _tiles(d.size, d.itemsize)
-    t, t_at = _tile_store(d.shape, rows, _records((x,)))
+    scratch = np.empty(rows)
     for sl in tiles:
-        # c*(d + 0.044715*d^3) as ((d*d)*0.044715 + 1)*d*c in one buffer: a
-        # generic float ``d ** 3`` is an order of magnitude slower than products.
-        ds, ts, out = d[sl], t_at(sl), data[sl]
-        np.multiply(ds, ds, out=ts)
-        ts *= 0.044715
-        ts += 1.0
-        ts *= ds
-        ts *= _GELU_C
-        np.tanh(ts, out=ts)
-        np.add(ts, 1.0, out=out)
+        ds, out = d[sl], data[sl]
+        np.add(_gelu_tanh(ds, scratch[:len(ds)]), 1.0, out=out)
         out *= ds
         out *= 0.5
 
     def backward(g):
         g = g.reshape(-1)
+        t = _gelu_tanh(d, np.empty(d.size))
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
         dx = g * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner)
         x._accumulate(dx.reshape(x.shape))
@@ -480,12 +468,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     src = x.data.reshape(-1, d)
     data = np.empty(src.shape)
-    inv = np.empty((len(src), 1))
+    mean, inv = np.empty((len(src), 1)), np.empty((len(src), 1))
     rows, tiles = _tiles(len(src), d * src.itemsize)
-    xhat, xhat_at = _tile_store(src.shape, rows, _records((x, gamma, beta)))
+    scratch = np.empty((rows, d))
     for sl in tiles:
-        xs, hs, out = src[sl], xhat_at(sl), data[sl]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=hs)
+        xs, hs, out = src[sl], scratch[:sl.stop - sl.start], data[sl]
+        mean[sl] = xs.mean(axis=-1, keepdims=True)
+        np.subtract(xs, mean[sl], out=hs)
         np.multiply(hs, hs, out=out)
         inv[sl] = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-6)
         hs *= inv[sl]
@@ -494,6 +483,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward(g):
         g = g.reshape(-1, d)
+        xhat = (src - mean) * inv
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=0))
         if gamma.requires_grad:
@@ -572,6 +562,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         # slabs cut at a multiple of 16 columns (where the map allows) keep every
         # column's bits those of one whole GEMM.
         rows, tiles = _tiles(oh, cin * kh * kw * ow * cols.itemsize, 16 // math.gcd(ow, 16))
+        # Recording keeps every window for backward: copying them again there cut
+        # train-128's peak RSS 416 -> 371 MB but cost 6-15% of its p50 latency.
         keep = _records((x, w, bias))
         store = np.empty(cols.shape if keep else (1,) + cols.shape[1:4] + (rows, ow))
     for i in range(b):
@@ -603,35 +595,24 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     return _make(out, parents, "conv2d", backward)
 
 
-def _avg_or_max(x: Tensor, kind: str, axis, op: str) -> Tensor:
-    """Mean or max over ``axis``, kept as size 1; a max gradient splits evenly among ties."""
-    if kind == "avg":
-        return _mean(x, axis, True, op)
-    data = x.data.max(axis=axis, keepdims=True)
-
-    def backward(g):
-        mask = (x.data == data)
-        x._accumulate(g * mask / mask.sum(axis=axis, keepdims=True))
-
-    return _make(data, (x,), op, backward)
+def _check_map_reduce(x: Tensor, kind: str, name: str) -> None:
+    """What ``pool2d`` and ``reduce_channel`` accept: avg or max over x[B,C,H,W]."""
+    if kind not in ("avg", "max"):
+        raise ContractError(f"unknown {name} kind {kind!r}")
+    if x.ndim != 4:
+        raise ShapeError(f"{name} expects x[B,C,H,W]")
 
 
 def pool2d(x: Tensor, kind: str) -> Tensor:
     """Global average or max pooling to B,C,1,1."""
-    if kind not in ("avg", "max"):
-        raise ContractError(f"unknown pool kind {kind!r}")
-    if x.ndim != 4:
-        raise ShapeError("pool2d expects x[B,C,H,W]")
-    return _avg_or_max(x, kind, (2, 3), f"pool_{kind}_global")
+    _check_map_reduce(x, kind, "pool2d")
+    return _reduce(x, kind, (2, 3), f"pool_{kind}_global")
 
 
 def reduce_channel(x: Tensor, kind: str) -> Tensor:
     """Per-pixel reduction across the channel axis to B,1,H,W."""
-    if kind not in ("avg", "max"):
-        raise ContractError(f"unknown reduce kind {kind!r}")
-    if x.ndim != 4:
-        raise ShapeError("reduce_channel expects x[B,C,H,W]")
-    return _avg_or_max(x, kind, 1, f"reduce_{kind}")
+    _check_map_reduce(x, kind, "reduce_channel")
+    return _reduce(x, kind, 1, f"reduce_{kind}")
 
 
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:

@@ -81,15 +81,17 @@ class TestSynth:
 
 
 # bench reads a reduced config whose stage 4 (2x2 at input_size 64) has sr_ratio 2
-BAD_SIZES = {
+BAD_ARGS = {
     "bench --size 0": "positive multiple of 32", "bench --size -32": "positive multiple of 32",
     "bench --size 48": "positive multiple of 32",
     "bench --size 32": "stage4 sr_ratio 2 exceeds its 1x1 map",
     "synth --n 2 --size 0": "positive multiple of 32",
-    "synth --n 2 --size -32": "positive multiple of 32"}
+    "synth --n 2 --size -32": "positive multiple of 32",
+    "synth --n 2 --seed -1": "seed must be >= 0",
+    "bench --warmup -5": "warmup must be >= 0"}
 
 
-@pytest.mark.parametrize("args", BAD_SIZES)
+@pytest.mark.parametrize("args", BAD_ARGS)
 def test_bad_size_is_validation_error(tmp_path, capsys, args):
     argv = args.split()
     cfg = tmp_path / "reduced.cfg"
@@ -97,9 +99,10 @@ def test_bad_size_is_validation_error(tmp_path, capsys, args):
     extra = (["--config", str(cfg), "--warmup", "1", "--iters", "10"] if argv[0] == "bench"
              else ["--out", str(tmp_path / "d")])
     capsys.readouterr()
-    assert main(argv + extra) == 3
+    # argparse keeps an option's last value, so the row's own flags go last
+    assert main(argv[:1] + extra + argv[1:]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and BAD_SIZES[args] in err[0]
+    assert len(err) == 1 and BAD_ARGS[args] in err[0]
 
 
 class TestTrain:

@@ -184,6 +184,8 @@ class TestSynthDataset:
             D.synth_dataset(seed=0, count=0, size=64)
         with pytest.raises(ConfigError):
             D.synth_dataset(seed=0, count=1, size=60)
+        with pytest.raises(ConfigError):
+            D.synth_dataset(seed=-1, count=1, size=64)
 
 
 class TestDatasetDirectory:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name that it never uses."""
+"""Source hygiene: no module imports a name that it never uses, and no private
+top-level function or class in ``src`` goes unread there."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,36 @@ def unused_imports(path: Path) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
             for name, line in imported.items() if name not in used]
+
+
+def unread_private_definitions(paths: list[Path]) -> list[str]:
+    """``_``-prefixed top-level functions and classes that nothing in ``paths`` reads.
+
+    A definition is read where its own module loads the name, or where any module
+    reads it as an attribute or imports it (which ``test_every_import_is_used``
+    then requires to be used).  Two modules may define the same private name.
+    """
+    defined, elsewhere = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        defined += [(node.name, f"{path.relative_to(ROOT)}:{node.lineno}", loaded)
+                    for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                elsewhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                elsewhere.update(alias.name for alias in node.names)
+    return [f"{where}: {name}" for name, where, loaded in defined
+            if name not in loaded and name not in elsewhere]
+
+
+def test_every_private_definition_is_read():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert paths
+    assert unread_private_definitions(paths) == []
 
 
 def test_every_import_is_used():

@@ -122,6 +122,9 @@ class TestSpeed:
         with pytest.raises(ConfigError):
             measure_fps(ArmFormer(ModelConfig.reduced(input_size=32)),
                         (32, 32), iters=5)
+        with pytest.raises(ConfigError):
+            measure_fps(ArmFormer(ModelConfig.reduced(input_size=32)),
+                        (32, 32), warmup=-5, iters=10)
 
     def test_report_renders(self):
         model = ArmFormer(ModelConfig.reduced(input_size=32))

@@ -195,6 +195,13 @@ class TestPooling:
         b = T.reduce_channel(Tensor(x[:, perm]), "avg").data
         assert np.allclose(a, b, atol=1e-12)  # summation order may differ
 
+    @pytest.mark.parametrize("op", [T.pool2d, T.reduce_channel])
+    def test_kind_and_rank_checked(self, op):
+        with pytest.raises(ContractError):
+            op(Tensor.zeros((1, 2, 3, 3)), "sum")
+        with pytest.raises(ShapeError):
+            op(Tensor.zeros((2, 3, 3)), "avg")
+
 
 # ----------------------------------------------------------------------
 # bilinear resize
@@ -437,6 +444,19 @@ class TestKernelContracts:
         assert not np.shares_memory(out.data, x.data)
         for name, t in (("x", x), ("w", w), ("b", b)):
             assert t.data.tobytes() == before[name], name
+
+    @pytest.mark.parametrize("op", ["gelu", "layer_norm"])
+    def test_backward_keeps_only_row_statistics(self, op):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 37, 24)), requires_grad=True)
+        gamma, beta = (Tensor(rng.normal(size=(24,)), requires_grad=True) for _ in range(2))
+        out = T.gelu(x) if op == "gelu" else T.layer_norm(x, gamma, beta)
+        operands = [t.data for t in (x, gamma, beta, out)]
+        kept = [c.cell_contents for c in out._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert kept
+        for a in kept:  # views of operands, or one value per row of 24
+            assert any(np.shares_memory(a, o) for o in operands) or a.size <= 2 * 37, a.shape
 
     def test_gelu_closed_form_including_tails(self):
         x = np.linspace(-30.0, 30.0, 601)
