@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import data as D
-from .errors import (ArmFormerError, CheckpointError, ContractError,
+from .errors import (ArmFormerError, CheckpointError, ConfigError, ContractError,
                      DataError, NetpbmError)
 from .gradcheck import gradient_suites
 from .metrics import ConfusionMatrix, compute_metrics, format_report, report_lines
@@ -77,7 +77,10 @@ def _build_parser() -> _Parser:
 
 def _load_config_file(path: str) -> dict[str, str]:
     # a missing/unreadable file surfaces as OSError -> exit code 2
-    return parse_flat_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_flat_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from None
 
 
 def _cmd_synth(args) -> int:
@@ -189,11 +192,13 @@ def _cmd_bench(args) -> int:
         model = ArmFormer(config_from_flat(entries))
     size = model.config.input_size if args.size is None else args.size
     report = count_flops(model, (size, size))
+    # measure before printing, so a bad --warmup/--iters leaves stdout empty
+    speed = None if args.no_speed else measure_fps(model, (size, size), warmup=args.warmup,
+                                                   iters=args.iters)
     print(report)
     print()
     print(report.key_values())
-    if not args.no_speed:
-        speed = measure_fps(model, (size, size), warmup=args.warmup, iters=args.iters)
+    if speed is not None:
         print()
         print(speed)
         print(speed.key_values())

@@ -307,9 +307,11 @@ class SegDataset:
         split_file = self.root / "splits" / f"{self.split}.txt"
         if not split_file.is_file():
             raise DataError(f"missing split file {split_file}")
-        self.names = [ln.strip() for ln in
-                      split_file.read_text(encoding="utf-8").splitlines()
-                      if ln.strip()]
+        try:
+            text = split_file.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"split file {split_file} is not UTF-8 text ({exc})") from None
+        self.names = [ln.strip() for ln in text.splitlines() if ln.strip()]
 
     def __len__(self) -> int:
         return len(self.names)

@@ -2,12 +2,13 @@
 
 Each stage tokenizes its input with an overlapped (kernel > stride) strided
 convolution, runs pre-norm transformer blocks whose attention downsamples
-keys/values by a per-stage reduction ratio, reassembles the token grid into a
+keys/values by the stage's reduction ratio, reassembles the token grid into a
 feature map and refines it with CBAM.  The refined map is both the stage's
 pyramid output and the next stage's input.
 
-The default schedule has channels (32, 64, 160, 256); the fixed patch
-geometry puts every schedule's stages at 1/4, 1/8, 1/16 and 1/32 of the input.
+The default schedule has channels (32, 64, 160, 256).  The fixed stage geometry
+puts every schedule's stages at 1/4 .. 1/32 of the input with key/value reduction
+ratios 8/4/2/1; any multiple of 32 leaves each stage's map at least that wide.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .nn import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
 
-# (kernel, stride) of each stage's patch embedding, padded by kernel // 2; every
-# MiT variant shares this geometry, which puts the stages at 1/4 .. 1/32
-PATCH_GEOMETRY = ((7, 4), (3, 2), (3, 2), (3, 2))
+# (kernel, stride, sr_ratio) of each stage: its patch embedding, padded by kernel // 2,
+# and its attention's key/value reduction; every MiT variant shares this geometry
+STAGE_GEOMETRY = ((7, 4, 8), (3, 2, 4), (3, 2, 2), (3, 2, 1))
 FFN_EXPANSION = 4
 
 
@@ -36,20 +37,19 @@ class StageConfig:
     channels: int
     depth: int
     heads: int
-    sr_ratio: int
 
     def __post_init__(self):
-        if min(self.channels, self.depth, self.heads, self.sr_ratio) < 1:
+        if min(self.channels, self.depth, self.heads) < 1:
             raise ConfigError(f"invalid stage config {self}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
 
 
 DEFAULT_STAGES = (
-    StageConfig(32, 2, 1, 8),
-    StageConfig(64, 2, 2, 4),
-    StageConfig(160, 2, 5, 2),
-    StageConfig(256, 2, 8, 1),
+    StageConfig(32, 2, 1),
+    StageConfig(64, 2, 2),
+    StageConfig(160, 2, 5),
+    StageConfig(256, 2, 8),
 )
 
 
@@ -136,9 +136,9 @@ class MixFFN(Module):
 
 
 class TransformerBlock(Module):
-    def __init__(self, cfg: StageConfig, rng: np.random.Generator):
+    def __init__(self, cfg: StageConfig, sr_ratio: int, rng: np.random.Generator):
         self.norm1 = LayerNorm(cfg.channels)
-        self.attn = EfficientSelfAttention(cfg.channels, cfg.heads, cfg.sr_ratio, rng)
+        self.attn = EfficientSelfAttention(cfg.channels, cfg.heads, sr_ratio, rng)
         self.norm2 = LayerNorm(cfg.channels)
         self.ffn = MixFFN(cfg.channels, rng)
 
@@ -148,10 +148,11 @@ class TransformerBlock(Module):
 
 
 class Stage(Module):
-    def __init__(self, in_channels: int, cfg: StageConfig, geometry: tuple[int, int],
+    def __init__(self, in_channels: int, cfg: StageConfig, geometry: tuple[int, int, int],
                  rng: np.random.Generator, cbam_reduction: int, cbam_kernel: int):
-        self.embed = OverlapPatchEmbed(in_channels, cfg.channels, *geometry, rng)
-        self.blocks = [TransformerBlock(cfg, rng) for _ in range(cfg.depth)]
+        kernel, stride, sr_ratio = geometry
+        self.embed = OverlapPatchEmbed(in_channels, cfg.channels, kernel, stride, rng)
+        self.blocks = [TransformerBlock(cfg, sr_ratio, rng) for _ in range(cfg.depth)]
         self.norm = LayerNorm(cfg.channels)
         self.cbam = CBAM(cfg.channels, rng, cbam_reduction, cbam_kernel)
 
@@ -170,7 +171,7 @@ class MitEncoder(Module):
             raise ConfigError(f"encoder needs exactly 4 stages, got {len(stages)}")
         in_channels = (3,) + tuple(s.channels for s in stages[:3])  # RGB, then each stage's
         self.stages = [Stage(cin, cfg, geometry, rng, cbam_reduction, cbam_kernel)
-                       for cin, cfg, geometry in zip(in_channels, stages, PATCH_GEOMETRY)]
+                       for cin, cfg, geometry in zip(in_channels, stages, STAGE_GEOMETRY)]
 
     def __call__(self, image: Tensor) -> FeaturePyramid:
         if image.ndim != 4 or image.shape[1] != 3:

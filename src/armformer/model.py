@@ -13,16 +13,16 @@ import numpy as np
 from . import tensor as T
 from .data import NUM_CLASSES
 from .decoder import HamConfig, HamDecoder
-from .encoder import DEFAULT_STAGES, PATCH_GEOMETRY, MitEncoder, StageConfig
+from .encoder import DEFAULT_STAGES, MitEncoder, StageConfig
 from .errors import (CheckpointError, ConfigError, DataError, TrainingError)
 from .nn import Module
 from .tensor import Tensor
 
 REDUCED_STAGES = (
-    StageConfig(8, 1, 1, 8),
-    StageConfig(16, 1, 2, 4),
-    StageConfig(24, 1, 3, 2),
-    StageConfig(32, 1, 4, 1),
+    StageConfig(8, 1, 1),
+    StageConfig(16, 1, 2),
+    StageConfig(24, 1, 3),
+    StageConfig(32, 1, 4),
 )
 
 
@@ -32,6 +32,8 @@ class ModelConfig:
     channel/resolution schedule (32, 64, 160, 256 at 1/4..1/32).  One CBAM
     reduction and kernel apply at all six sites: after each of the four
     encoder stages, and before and after the decoder's global context.
+    Each stage's patch kernel, stride and key/value reduction ratio
+    (8/4/2/1) are not knobs: ``encoder.STAGE_GEOMETRY`` fixes them.
     """
 
     stages: tuple[StageConfig, ...] = DEFAULT_STAGES
@@ -52,12 +54,6 @@ class ModelConfig:
         if self.input_size <= 0 or self.input_size % 32:
             raise ConfigError(
                 f"input_size must be a positive multiple of 32, got {self.input_size}")
-        side = self.input_size
-        for i, (s, (_, stride)) in enumerate(zip(self.stages, PATCH_GEOMETRY), start=1):
-            side //= stride
-            if s.sr_ratio > side:
-                raise ConfigError(f"stage{i} sr_ratio must be <= its {side}x{side} map at "
-                                  f"input_size {self.input_size}, got {s.sr_ratio}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -311,7 +307,7 @@ def schedule_from_flat(entries: dict[str, str]) -> TrainSchedule:
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"ARMF"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def checkpoint_save(model: ArmFormer) -> bytes:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import FFN_EXPANSION, PATCH_GEOMETRY
+from .encoder import FFN_EXPANSION, STAGE_GEOMETRY
 from .errors import ConfigError
 from .model import ArmFormer
 from .tensor import Tensor
@@ -109,12 +109,9 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
     report = ComplexityReport(input_hw=input_hw)
     add = report.breakdown.append
     cin = 3
-    for i, (s, (kernel, stride)) in enumerate(zip(cfg.stages, PATCH_GEOMETRY), start=1):
+    for i, (s, (kernel, stride, sr)) in enumerate(zip(cfg.stages, STAGE_GEOMETRY), start=1):
         h //= stride  # the padded kernel // 2 conv is exact for inputs divisible by 32
         w //= stride
-        if s.sr_ratio > min(h, w):
-            raise ConfigError(f"stage{i} sr_ratio {s.sr_ratio} exceeds its {h}x{w} map "
-                              f"at input size {input_hw}")
         n = h * w
         c = s.channels
         p, f = _conv_cost(kernel, cin, c, h, w)
@@ -123,9 +120,9 @@ def count_flops(model: ArmFormer, input_hw: tuple[int, int] | None = None) -> Co
         pa = fa = pf = ff = 0
         for _ in range(s.depth):
             n_kv = n
-            if s.sr_ratio > 1:
-                n_kv = (h // s.sr_ratio) * (w // s.sr_ratio)
-                p, f = _conv_cost(s.sr_ratio, c, c, h // s.sr_ratio, w // s.sr_ratio)
+            if sr > 1:
+                n_kv = (h // sr) * (w // sr)
+                p, f = _conv_cost(sr, c, c, h // sr, w // sr)
                 pa += p + 2 * c  # sr conv + its layer norm
                 fa += f
             p, f = _linear_cost(c, c, n)      # q

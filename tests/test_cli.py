@@ -80,11 +80,9 @@ class TestSynth:
         assert not out.exists()
 
 
-# bench reads a reduced config whose stage 4 (2x2 at input_size 64) has sr_ratio 2
 BAD_ARGS = {
     "bench --size 0": "positive multiple of 32", "bench --size -32": "positive multiple of 32",
     "bench --size 48": "positive multiple of 32",
-    "bench --size 32": "stage4 sr_ratio 2 exceeds its 1x1 map",
     "synth --n 2 --size 0": "positive multiple of 32",
     "synth --n 2 --size -32": "positive multiple of 32",
     "synth --n 2 --seed -1": "seed must be >= 0",
@@ -95,14 +93,15 @@ BAD_ARGS = {
 def test_bad_size_is_validation_error(tmp_path, capsys, args):
     argv = args.split()
     cfg = tmp_path / "reduced.cfg"
-    cfg.write_text("model.preset = reduced\nstage4.sr_ratio = 2\n")
+    cfg.write_text("model.preset = reduced\n")
     extra = (["--config", str(cfg), "--warmup", "1", "--iters", "10"] if argv[0] == "bench"
              else ["--out", str(tmp_path / "d")])
     capsys.readouterr()
     # argparse keeps an option's last value, so the row's own flags go last
     assert main(argv[:1] + extra + argv[1:]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and BAD_ARGS[args] in err[0]
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing is printed before the failing check
+    assert len(err.splitlines()) == 1 and BAD_ARGS[args] in err
 
 
 class TestTrain:
@@ -126,6 +125,12 @@ class TestTrain:
         cfg.write_text("model.preset = reduced\ntrain.lr = -1\n")
         assert main(["train", "--config", str(cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "x.ckpt")]) == 3
+        cfg.write_bytes(b"model.preset = reduced\nmodel.seed = \xff\xfe1\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "bad.cfg is not UTF-8" in err[0]
 
     @pytest.mark.parametrize("name", ["validate", "__class__"])
     def test_non_field_schedule_key_is_validation_error(self, workspace, tmp_path,
@@ -154,8 +159,7 @@ class TestTrain:
         ("model.seed = -1", "seed"), ("ham.seed = -5", "ham seed"),
         ("train.seed = -1", "seed"), ("train.eval_every = -1", "eval_every"),
         ("train.lr = nan", "lr"), ("train.weight_decay = nan", "weight_decay"),
-        ("train.weight_decay = inf", "weight_decay"), ("train.weight_decay = -1", "weight_decay"),
-        ("stage4.sr_ratio = 4", "sr_ratio")])
+        ("train.weight_decay = inf", "weight_decay"), ("train.weight_decay = -1", "weight_decay")])
     def test_out_of_range_value_is_validation_error(self, workspace, tmp_path, capsys,
                                                      line, field):
         _, data_dir, _, _ = workspace
@@ -223,13 +227,18 @@ class TestEval:
         assert err.startswith("i/o error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    def test_empty_split_is_validation_error(self, workspace, tmp_path):
+    def test_empty_split_is_validation_error(self, workspace, tmp_path, capsys):
         root, data_dir, _, ckpt = workspace
         empty = tmp_path / "emptyset"
         for sub in ("images", "masks", "splits"):
             (empty / sub).mkdir(parents=True)
         (empty / "splits" / "test.txt").write_text("")
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(empty)]) == 3
+        (empty / "splits" / "test.txt").write_bytes(b"sample_\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(empty)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "test.txt is not UTF-8" in err[0]
 
 
 class TestInfer:
@@ -281,13 +290,14 @@ class TestBench:
         assert "total_params=" in out
         assert "fps=" in out
 
-    def test_removed_geometry_key_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["stage1.patch_stride", "stage4.sr_ratio"])
+    def test_removed_geometry_key_is_validation_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "geometry.cfg"
-        cfg.write_text("model.preset = reduced\nstage1.patch_stride = 2\n")
+        cfg.write_text(f"model.preset = reduced\n{key} = 2\n")
         capsys.readouterr()
         assert main(["bench", "--config", str(cfg), "--size", "64", "--no-speed"]) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "stage1.patch_stride" in err[0]
+        assert len(err) == 1 and key in err[0]
 
     def test_bench_complexity_only(self, workspace, capsys):
         _, _, _, ckpt = workspace

@@ -208,6 +208,10 @@ class TestDatasetDirectory:
     def test_missing_split_file(self, tmp_path):
         with pytest.raises(DataError, match="split"):
             D.SegDataset(tmp_path, "train", 64)
+        (tmp_path / "splits").mkdir()
+        (tmp_path / "splits" / "train.txt").write_bytes(b"sample_\xff\xfe\n")
+        with pytest.raises(DataError, match="train.txt is not UTF-8"):
+            D.SegDataset(tmp_path, "train", 64)
 
     def test_split_fractions_validated(self, tmp_path):
         with pytest.raises(DataError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from armformer import tensor as T
-from armformer.encoder import (DEFAULT_STAGES, PATCH_GEOMETRY, EfficientSelfAttention,
+from armformer.encoder import (DEFAULT_STAGES, STAGE_GEOMETRY, EfficientSelfAttention,
                                MitEncoder, MixFFN, OverlapPatchEmbed, StageConfig)
 from armformer.errors import ConfigError, ShapeError
 from armformer.tensor import Tensor
@@ -25,16 +25,17 @@ def set_identity_linear(linear):
 class TestStageConfig:
     def test_heads_must_divide_channels(self):
         with pytest.raises(ConfigError):
-            StageConfig(30, 2, 4, 1)
+            StageConfig(30, 2, 4)
 
-    @pytest.mark.parametrize("fields", [(0, 2, 1, 1), (8, 0, 1, 1), (8, 2, 0, 1), (8, 2, 1, 0)])
+    @pytest.mark.parametrize("fields", [(0, 2, 1), (8, 0, 1), (8, 2, 0)])
     def test_non_positive_field_is_config_error(self, fields):
         with pytest.raises(ConfigError, match="invalid stage config"):
             StageConfig(*fields)
 
     def test_default_schedule(self):
         assert [s.channels for s in DEFAULT_STAGES] == [32, 64, 160, 256]
-        assert [stride for _, stride in PATCH_GEOMETRY] == [4, 2, 2, 2]
+        assert [stride for _, stride, _ in STAGE_GEOMETRY] == [4, 2, 2, 2]
+        assert [sr_ratio for _, _, sr_ratio in STAGE_GEOMETRY] == [8, 4, 2, 1]
 
 
 class TestPatchEmbed:

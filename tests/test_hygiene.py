@@ -1,7 +1,9 @@
-"""Source hygiene: no module imports a name that it never uses, and no private
-top-level function or class in ``src`` goes unread there."""
+"""Source hygiene: no module imports a name that it never uses, no private
+top-level function or class in ``src`` goes unread there, and every committed
+benchmark record is a correct run with the benchmark's metric names."""
 
 import ast
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +57,19 @@ def test_every_import_is_used():
                    for p in (ROOT / top).rglob("*.py") if p.name != "__init__.py")
     assert paths
     assert [hit for p in paths for hit in unused_imports(p)] == []
+
+
+def test_committed_bench_records_are_correct_runs():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {"trace0": sorted(m["name"] for m in spec["end_to_end"]),
+             "trace1": sorted(m["name"] for m in spec["per_layer"])}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        for workload in (w["name"] for w in spec["workloads"]):
+            for level, expected in names.items():
+                run = record[workload][level]
+                where = f"{path.name} {workload} {level}"
+                assert run["correct"] is True and run["failed"] == 0, where
+                assert sorted(run["metrics"]) == expected, where

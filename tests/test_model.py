@@ -270,7 +270,7 @@ class TestCheckpoint:
 
     def test_version_1_rejected_by_version(self):
         blob = bytearray(checkpoint_save(ArmFormer(toy_config())))
-        for version in (1, 2, 3, 4):  # earlier layouts carry config keys that are gone
+        for version in (1, 2, 3, 4, 5):  # earlier layouts carry config keys that are gone
             blob[4:8] = version.to_bytes(4, "little")
             with pytest.raises(CheckpointError,
                                match=f"unsupported checkpoint version {version}"):
@@ -341,12 +341,12 @@ class TestConfigText:
 
     def test_key_table(self):
         text = config_to_text(ModelConfig.reduced())
-        assert len(text.splitlines()) == 24
+        assert len(text.splitlines()) == 20
         assert "cbam.kernel = 7\n" in text
         assert "ham.eps" not in text and "ham.one_step_grad" not in text
-        assert "patch_" not in text and "ffn_expansion" not in text
+        assert "patch_" not in text and "ffn_expansion" not in text and "sr_ratio" not in text
         for cfg in (ModelConfig.default(), ModelConfig.lightweight_cbam()):
-            assert len(config_to_text(cfg).splitlines()) == 24
+            assert len(config_to_text(cfg).splitlines()) == 20
             assert "," not in config_to_text(cfg)
         assert "," not in text
 
