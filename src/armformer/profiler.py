@@ -222,7 +222,8 @@ def measure_fps(model: ArmFormer, input_hw: tuple[int, int],
             if gc_was_enabled:
                 gc.enable()
     times = np.asarray(times)
-    host = f"{platform.machine()} / {platform.system()} / python {platform.python_version()}"
+    host = (f"{platform.machine()} / {platform.system()} / python {platform.python_version()}"
+            f" / {T.TILE_WORKERS} tile workers")
     return SpeedReport(warmup=warmup, iters=iters, mean_ms=float(times.mean()),
                        std_ms=float(times.std()), input_shape=(1, 3) + tuple(input_hw),
                        host=host)

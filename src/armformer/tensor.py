@@ -15,15 +15,19 @@ Conventions fixed here (and relied on by the tests):
 conv2d lowers every kernel through one strided window view of its input.  The
 multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
 the transpose copy) work through their operands in cache-sized tiles of rows; a
-pointwise conv reads ``x`` in place as one tile.  No result depends on the tile
-size.  Backward recomputes what it needs from an op's operands (layer_norm keeps
-a mean and scale per row); only conv2d keeps an intermediate, its window copy,
-while recording.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce every element.
+pointwise conv reads ``x`` in place, one GEMM per slab of rows.  Where BLAS runs
+one thread, the tiles run on up to ``TILE_WORKERS`` threads.  No result depends
+on the tile size or the worker count.  Backward recomputes what it needs from an
+op's operands (layer_norm keeps a mean and scale per row); only conv2d keeps an
+intermediate, its window copy, while recording.  ``Tensor.sum()`` and
+``Tensor.mean()`` reduce every element.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +39,9 @@ _GRAD_ENABLED = True
 # Bytes of operand one tile of a multi-pass kernel covers: under a core's L2, so
 # each pass after the first over a tile reads cache rather than memory.
 _TILE_BYTES = 1 << 20
+# Most threads the tiles of one kernel run on; a constant, so that no host and no
+# input can ask for more.
+_MAX_WORKERS = 4
 
 
 class no_grad:
@@ -219,13 +226,81 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _tiles(n: int, row_bytes: int, align: int = 1) -> tuple[int, list[slice]]:
-    """Split ``n`` rows of ``row_bytes`` each into tiles of at most ``_TILE_BYTES``.
+def _tile_workers() -> int:
+    """Threads the tiled kernels run on: one per CPU this process may use, at most
+    ``_MAX_WORKERS``, where BLAS runs one thread; else one.
+
+    BLAS's thread count is the one OpenBLAS takes from the environment as it
+    loads: the first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else one per CPU.  With BLAS threads on the other cores, tile
+    threads ran the 640 forward 2-9% slower on a 2-core host.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, min(cpus, _MAX_WORKERS)) if blas == 1 else 1
+    return 1  # BLAS takes a thread per CPU
+
+
+TILE_WORKERS = _tile_workers()
+_pool = None  # the ThreadPoolExecutor behind the workers, made on first use
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so that importing the package starts nothing
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, TILE_WORKERS - 1), "armformer-tiles")
+        return _pool
+
+
+def _run_tiles(tiles: list, body, scratch=None) -> None:
+    """Call ``body(tile, buf)`` for every tile, one contiguous group of tiles per worker.
+
+    The calling thread runs the first group and the pool the others, up to
+    ``TILE_WORKERS`` groups in all.  Each group's ``buf`` is a fresh ``scratch()``
+    (or None), allocated in the calling thread, so no worker thread's malloc arena
+    keeps it.  Bodies call numpy only, never an op of this module.  Every group
+    finishes before this returns or raises the error of the first group that
+    failed.
+    """
+    n = min(len(tiles), TILE_WORKERS)
+    groups = [tiles[len(tiles) * g // n:len(tiles) * (g + 1) // n] for g in range(n)]
+    bufs = [scratch() if scratch else None for _ in groups]
+
+    def run(group, buf):
+        for tile in group:
+            body(tile, buf)
+
+    futures = [_executor().submit(run, group, buf) for group, buf in zip(groups[1:], bufs[1:])]
+    try:
+        run(groups[0], bufs[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the group without raising its error
+    for future in futures:
+        future.result()
+
+
+def _tiles(n: int, row_bytes: int, align: int = 1,
+           budget: int | None = None) -> tuple[int, list[slice]]:
+    """Split ``n`` rows of ``row_bytes`` each into tiles of at most ``budget`` bytes,
+    ``_TILE_BYTES`` by default.
 
     A tile holds a multiple of ``align`` rows, and at least that many; all
     rows make one tile when they fit.  Returns the tile height and the slices.
     """
-    rows = max(1, min(n, max(align, _TILE_BYTES // row_bytes // align * align)))
+    rows = max(1, min(n, max(align, (budget or _TILE_BYTES) // row_bytes // align * align)))
     return rows, [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
@@ -308,10 +383,12 @@ def transpose(x: Tensor, *axes) -> Tensor:
         # of the copy stays in cache
         view, data = data, np.empty(data.shape)
         axis = int(np.argmax(data.shape))
-        _, tiles = _tiles(data.shape[axis], data.nbytes // data.shape[axis])
-        for sl in tiles:
+
+        def copy(sl, _):
             at = (slice(None),) * axis + (sl,)
             data[at] = view[at]
+
+        _run_tiles(_tiles(data.shape[axis], data.nbytes // data.shape[axis])[1], copy)
 
     def backward(g):
         x._accumulate(g.transpose(inverse))
@@ -419,12 +496,14 @@ def gelu(x: Tensor) -> Tensor:
     d = x.data.reshape(-1)
     data = np.empty(d.size)
     rows, tiles = _tiles(d.size, d.itemsize)
-    scratch = np.empty(rows)
-    for sl in tiles:
+
+    def tile(sl, scratch):
         ds, out = d[sl], data[sl]
         np.add(_gelu_tanh(ds, scratch[:len(ds)]), 1.0, out=out)
         out *= ds
         out *= 0.5
+
+    _run_tiles(tiles, tile, lambda: np.empty(rows))
 
     def backward(g):
         g = g.reshape(-1)
@@ -445,13 +524,15 @@ def softmax(x: Tensor, axis: int, scale: float = 1.0) -> Tensor:
     # its own, so a tile of them is reduced along axis 1
     src = x.data.reshape((-1,) + x.shape[axis:])
     data = np.empty(src.shape)
-    _, tiles = _tiles(len(src), math.prod(x.shape[axis:]) * src.itemsize)
-    for sl in tiles:
+
+    def tile(sl, _):
         out = data[sl]
         np.multiply(src[sl], scale, out=out)
         out -= out.max(axis=1, keepdims=True)
         np.exp(out, out=out)
         out /= out.sum(axis=1, keepdims=True)
+
+    _run_tiles(_tiles(len(src), math.prod(x.shape[axis:]) * src.itemsize)[1], tile)
     data = data.reshape(x.shape)
 
     def backward(g):
@@ -470,8 +551,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data = np.empty(src.shape)
     mean, inv = np.empty((len(src), 1)), np.empty((len(src), 1))
     rows, tiles = _tiles(len(src), d * src.itemsize)
-    scratch = np.empty((rows, d))
-    for sl in tiles:
+
+    def tile(sl, scratch):
         xs, hs, out = src[sl], scratch[:sl.stop - sl.start], data[sl]
         mean[sl] = xs.mean(axis=-1, keepdims=True)
         np.subtract(xs, mean[sl], out=hs)
@@ -480,6 +561,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         hs *= inv[sl]
         np.multiply(gamma.data, hs, out=out)
         out += beta.data
+
+    _run_tiles(tiles, tile, lambda: np.empty((rows, d)))
 
     def backward(g):
         g = g.reshape(-1, d)
@@ -548,32 +631,39 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
     # (B, G, Cg*kh*kw, OH*OW) x (G, Cout/G, Cg*kh*kw) -> (B, G, Cout/G, OH*OW), one
-    # GEMM per slab of output rows into its columns of ``out``
+    # GEMM per image and slab of output rows into its columns of ``out``.  A slab's
+    # windows are copied C-ordered, so its GEMM reads them from cache.  A pointwise
+    # conv's windows are x itself, read in place, so its slabs need not fit in
+    # cache: an image splits only as far as it takes to give every worker one.
+    # OpenBLAS picks the kernel that sums a column by where the column falls in
+    # its blocking; slabs cut at a multiple of 16 columns (where the map allows)
+    # keep every column's bits those of one whole GEMM.
     k = cin_g * kh * kw
     w_g = w.data.reshape(groups, cout // groups, k)
     out = np.empty((b, groups, cout // groups, oh * ow))
+    row_bytes = cin * kh * kw * ow * cols.itemsize
     pointwise = kh == kw == stride == 1 and not padding
-    if pointwise:  # the windows are x itself: one tile per image, read in place
-        store, tiles = cols, [slice(0, oh)]
-    else:
-        # An image's windows are copied C-ordered one slab of output rows at a
-        # time, so each GEMM reads its operand from cache.  OpenBLAS picks the
-        # kernel that sums a column by where the column falls in its blocking;
-        # slabs cut at a multiple of 16 columns (where the map allows) keep every
-        # column's bits those of one whole GEMM.
-        rows, tiles = _tiles(oh, cin * kh * kw * ow * cols.itemsize, 16 // math.gcd(ow, 16))
-        # Recording keeps every window for backward: copying them again there cut
-        # train-128's peak RSS 416 -> 371 MB but cost 6-15% of its p50 latency.
-        keep = _records((x, w, bias))
-        store = np.empty(cols.shape if keep else (1,) + cols.shape[1:4] + (rows, ow))
-    for i in range(b):
-        for sl in tiles:
-            if pointwise:
-                tile = cols[i]
-            else:
-                tile = store[i, ..., sl, :] if keep else store[0, ..., :sl.stop - sl.start, :]
-                np.copyto(tile, cols[i, ..., sl, :])
-            np.matmul(w_g, tile.reshape(groups, k, -1), out=out[i, ..., sl.start * ow:sl.stop * ow])
+    budget = None
+    if pointwise:
+        per_image = -(-TILE_WORKERS // b)  # slabs that give every worker one
+        budget = -(-oh // per_image) * row_bytes
+    rows, tiles = _tiles(oh, row_bytes, 16 // math.gcd(ow, 16), budget)
+    # Recording keeps every window for backward: copying them again there cut
+    # train-128's peak RSS 416 -> 371 MB but cost 6-15% of its p50 latency.
+    keep = _records((x, w, bias))
+    store = cols if pointwise else np.empty(cols.shape) if keep else None
+
+    def slab(item, buf):
+        i, sl = item
+        tile = cols[i, ..., sl, :]
+        if not pointwise:
+            windows = store[i, ..., sl, :] if keep else buf[..., :sl.stop - sl.start, :]
+            np.copyto(windows, tile)
+            tile = windows
+        np.matmul(w_g, tile.reshape(groups, k, -1), out=out[i, ..., sl.start * ow:sl.stop * ow])
+
+    scratch = None if store is not None else lambda: np.empty(cols.shape[1:4] + (rows, ow))
+    _run_tiles([(i, sl) for i in range(b) for sl in tiles], slab, scratch)
     out = out.reshape(b, cout, oh, ow)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)

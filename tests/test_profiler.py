@@ -81,6 +81,8 @@ class TestSpeed:
         assert report.mean_ms > 0
         assert report.iters == 10
         assert report.host  # embeds a machine descriptor
+        # and the threads the tiles ran on, so an FPS figure says what produced it
+        assert report.host.endswith(f" / {T.TILE_WORKERS} tile workers")
 
     def test_larger_input_is_slower(self):
         model = ArmFormer(ModelConfig.reduced(input_size=32))

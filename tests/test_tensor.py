@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,24 +534,24 @@ def _ragged_height(n, align):
 
 
 class TileBudget:
-    """Runs a function with the tile budget making every tile split ragged, or one tile."""
+    """Runs a function with a tile budget making every tile split ragged, or one tile."""
 
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.splits = []  # the row slices of every ragged split, call by call
-        monkeypatch.setattr(T, "_TILE_BYTES", T._TILE_BYTES)  # restored after the test
 
     def whole(self, fn):
-        T._TILE_BYTES = 1 << 62
-        return fn()
+        return self._run(fn, lambda n, align: n, [])
 
     def ragged(self, fn):
+        return self._run(fn, lambda n, align: _ragged_height(n, align) or n, self.splits)
+
+    def _run(self, fn, height, splits):
         tiles = T._tiles
 
-        def split(n, row_bytes, align=1):
-            T._TILE_BYTES = (_ragged_height(n, align) or n) * row_bytes
-            rows, slices = tiles(n, row_bytes, align)
-            self.splits.append(slices)
+        def split(n, row_bytes, align=1, budget=None):
+            rows, slices = tiles(n, row_bytes, align, height(n, align) * row_bytes)
+            splits.append(slices)
             return rows, slices
 
         self.monkeypatch.setattr(T, "_tiles", split)
@@ -568,6 +573,21 @@ def budget(monkeypatch):
     return TileBudget(monkeypatch)
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The groups of tiles handed to the worker pool, as their argument tuples."""
+    groups = []
+    pool = T._executor()
+
+    class Recording:
+        def submit(self, fn, *args):
+            groups.append(args)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(T, "_executor", Recording)
+    return groups
+
+
 class TestTiles:
     OPS = {
         "softmax": ((3, 2, 25, 40), lambda x, p: T.softmax(x, axis=-1, scale=0.37)),
@@ -581,7 +601,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("grad", [False, True])
     @pytest.mark.parametrize("op", sorted(OPS))
-    def test_op_equals_one_tile(self, budget, op, grad):
+    def test_op_equals_one_tile(self, budget, monkeypatch, submitted, op, grad):
         shape, fn = self.OPS[op]
         rng = np.random.default_rng(30)
         x = Tensor(rng.normal(size=shape) * 3.0, requires_grad=grad)
@@ -597,10 +617,14 @@ class TestTiles:
                 (out * weights).sum().backward()
             return [out.data] + [t.grad for t in [x] + affine if t.grad is not None]
 
-        whole, tiled = budget.whole(run), budget.ragged(run)
+        whole = budget.whole(run)
+        for workers in (1, 2):
+            monkeypatch.setattr(T, "TILE_WORKERS", workers)
+            tiled = budget.ragged(run)
+            assert len(whole) == len(tiled) == (1 + (3 if op == "layer_norm" else 1) * grad)
+            assert all(_same(a, b) for a, b in zip(whole, tiled)), workers
+            assert bool(submitted) == (workers > 1)
         assert budget.splits and all(budget.was_ragged(t) for t in budget.splits)
-        assert len(whole) == len(tiled) == (1 + (3 if op == "layer_norm" else 1) * grad)
-        assert all(_same(a, b) for a, b in zip(whole, tiled))
 
     def test_default_model_convs_at_640(self, budget, monkeypatch):
         calls = {}  # one of each conv the default model runs at 640
@@ -616,6 +640,7 @@ class TestTiles:
             model(Tensor(np.zeros((1, 3, 640, 640))))
         monkeypatch.setattr(T, "conv2d", conv2d)
 
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
         rng = np.random.default_rng(31)
         for x_shape, w_shape, stride, padding, groups in calls:
             x = Tensor(rng.normal(size=x_shape))
@@ -626,12 +651,10 @@ class TestTiles:
                 whole, tiled = (evaluate(lambda: conv2d(x, w, b, stride, padding, groups).data)
                                 for evaluate in (budget.whole, budget.ragged))
             assert _same(whole, tiled), (x_shape, w_shape, stride, padding, groups)
-            # every windowed conv splits, each 1x1 stride-1 conv is one tile
-            pointwise = w_shape[2:] == (1, 1) and stride == 1 and padding == 0
-            assert [budget.was_ragged(t) for t in budget.splits[before:]] == [True] * (not pointwise)
+            assert [budget.was_ragged(t) for t in budget.splits[before:]] == [True]
         assert len(calls) == 17
 
-    def test_reduced_model_gradients_at_128(self, budget):
+    def test_reduced_model_gradients_at_128(self, budget, monkeypatch):
         model = ArmFormer(ModelConfig.reduced(128))
         data = synth_dataset(32, 8, 128)
         images = Tensor(np.stack([image for image, _ in data]))
@@ -644,7 +667,87 @@ class TestTiles:
             loss.backward()
             return [loss.data] + [p.grad for p in model.parameters()]
 
-        whole, tiled = budget.whole(step), budget.ragged(step)
-        assert sum(map(budget.was_ragged, budget.splits)) > 20
-        assert len(whole) == len(tiled) == 1 + len(model.parameters())
-        assert all(_same(a, b) for a, b in zip(whole, tiled))
+        whole = budget.whole(step)
+        for workers in (1, 2):
+            monkeypatch.setattr(T, "TILE_WORKERS", workers)
+            tiled = budget.ragged(step)
+            assert len(whole) == len(tiled) == 1 + len(model.parameters())
+            assert all(_same(a, b) for a, b in zip(whole, tiled)), workers
+        assert sum(map(budget.was_ragged, budget.splits)) > 40
+
+
+# ----------------------------------------------------------------------
+# tile workers
+# ----------------------------------------------------------------------
+
+class TestWorkers:
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_error_raised_after_every_group_finished(self, monkeypatch, failing):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        monkeypatch.setattr(T, "_TILE_BYTES", 8 * 100)  # 10 tiles of 100 values
+        x = np.arange(1000.0)
+        bad = 0 if failing == "first" else 900  # in the calling thread's group, or a worker's
+        finished = []
+        gelu_tanh = T._gelu_tanh
+
+        def tanh(d, out):
+            if d[0] == bad:
+                raise ValueError("tile failed")
+            time.sleep(0.02)
+            finished.append(d[0])
+            return gelu_tanh(d, out)
+
+        monkeypatch.setattr(T, "_gelu_tanh", tanh)
+        with pytest.raises(ValueError, match="tile failed"):
+            T.gelu(Tensor(x))
+        # each group stops at its failing tile; every other group ran to its end
+        expect = list(range(500, 1000, 100)) if failing == "first" else list(range(0, 900, 100))
+        assert sorted(finished) == [float(v) for v in expect]
+
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (64, {"OPENBLAS_NUM_THREADS": "1"}, T._MAX_WORKERS),
+        (None, {"OPENBLAS_NUM_THREADS": "1"}, T._MAX_WORKERS),  # no affinity masks: 64 CPUs
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),  # BLAS threads of its own: no tile workers
+        (2, {"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "4"}, 1),
+        (2, {}, 1),  # BLAS takes a thread per CPU
+    ])
+    def test_tile_workers_from_cpus_and_blas_threads(self, monkeypatch, submitted, cpus, env,
+                                                      workers):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        assert T._tile_workers() == workers
+        # one worker keeps every tile, conv GEMM slabs included, on the calling thread
+        monkeypatch.setattr(T, "TILE_WORKERS", T._tile_workers())
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 10)
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.normal(size=(1, 4, 16, 16)))
+        for w in (rng.normal(size=(6, 4, 1, 1)), rng.normal(size=(6, 4, 3, 3))):
+            T.conv2d(x, Tensor(w), padding=w.shape[-1] // 2)
+        T.softmax(x, axis=-1)
+        assert bool(submitted) == (workers > 1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+    def test_import_starts_nothing_and_one_cpu_means_one_worker(self):
+        code = ("import os, sys, threading; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "import armformer; from armformer import tensor; "
+                "print('concurrent.futures' in sys.modules, threading.active_count(), "
+                "tensor.TILE_WORKERS)")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1", "1"]
