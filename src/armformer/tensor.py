@@ -15,12 +15,15 @@ Conventions fixed here (and relied on by the tests):
 conv2d lowers every kernel through one strided window view of its input.  The
 multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
 the transpose copy) work through their operands in cache-sized tiles of rows; a
-pointwise conv reads ``x`` in place, one GEMM per slab of rows.  Where BLAS runs
-one thread, the tiles run on up to ``TILE_WORKERS`` threads.  No result depends
-on the tile size or the worker count.  Backward recomputes what it needs from an
-op's operands (layer_norm keeps a mean and scale per row); only conv2d keeps an
-intermediate, its window copy, while recording.  ``Tensor.sum()`` and
-``Tensor.mean()`` reduce every element.
+pointwise conv reads ``x`` in place, one GEMM per slab of rows.  conv2d's input
+gradient runs one slice of images per worker.  Where BLAS runs one thread, the
+tiles and slices run on up to ``TILE_WORKERS`` threads.  No result, forward or
+backward, depends on the tile size or the worker count.  Backward recomputes
+what it needs from an op's operands (layer_norm keeps a mean and scale per row);
+only conv2d keeps an intermediate, its window copy, while recording.  A node's
+first gradient is copied into a buffer of its own, and an interior node's is
+freed once its backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce
+every element.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ _TILE_BYTES = 1 << 20
 # Most threads the tiles of one kernel run on; a constant, so that no host and no
 # input can ask for more.
 _MAX_WORKERS = 4
+# Fewest bytes a worker's share of one tap's add in conv2d's input gradient must
+# move: below it the handoff and the interpreter lock cost more than a core saves.
+_TAP_BYTES = 1 << 16
 
 
 class no_grad:
@@ -138,8 +144,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # copied, so no .grad is a view of an operand or of another gradient
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -163,6 +172,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # spent: freed now, and a second backward() starts from nothing here
+                node.grad = None
 
     # operators -----------------------------------------------------------
 
@@ -420,7 +431,7 @@ def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
             g = g / (x.size // data.size)
         elif kind == "max":
             mask = x.data == data
-            g = g * mask / mask.sum(axis=axis, keepdims=True)
+            g = mask * (g / mask.sum(axis=axis, keepdims=True))
         x._accumulate(np.broadcast_to(g, x.shape))
 
     return _make(data, (x,), op, backward)
@@ -603,14 +614,48 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return windows.transpose(0, 1, 4, 5, 2, 3), oh, ow
 
 
-def _col2im(cols: np.ndarray, shape, stride: int, padding: int) -> np.ndarray:
-    b, c, h, w = shape
-    _, _, kh, kw, oh, ow = cols.shape
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    return xp[:, :, padding:padding + h, padding:padding + w]
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, shape, stride: int, padding: int,
+                     groups: int) -> np.ndarray:
+    """conv2d's gradient for ``x`` of ``shape``: each window's gradient added onto a
+    zeroed padded map tap by tap, in row-major tap order, one slice of images per
+    worker.  A window's gradient is ``w_g^T @ g`` per group; with one output channel
+    per group that is the single product ``w * g``, formed tap by tap."""
+    b, cin, h, wd = shape
+    cout, cin_g, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    dxp = np.zeros((b, cin, h + 2 * padding, wd + 2 * padding))
+    n = max(1, min(b, TILE_WORKERS, b * cin * oh * ow * dxp.itemsize // _TAP_BYTES))
+    per_slice = -(-b // n)
+    single = cout == groups
+    if single:
+        taps = w.reshape(groups, cin_g, kh, kw)
+        gs = g.reshape(b, groups, 1, oh, ow)
+        buf_shape = (per_slice, groups, cin_g, oh, ow)
+    else:
+        w_t = np.swapaxes(w.reshape(groups, cout // groups, cin_g * kh * kw), -1, -2)
+        gg = g.reshape(b, groups, cout // groups, oh * ow)
+        buf_shape = (per_slice, groups, cin_g * kh * kw, oh * ow)
+
+    def images(sl, buf):
+        m = sl.stop - sl.start
+        if single:
+            dst = dxp[sl].reshape(m, groups, cin_g, *dxp.shape[2:])
+
+            def tap(i, j):
+                return np.multiply(gs[sl], taps[:, :, i, j, None, None], out=buf[:m])
+        else:
+            dst = dxp[sl]
+            dcols = np.matmul(w_t, gg[sl], out=buf[:m]).reshape(m, cin, kh, kw, oh, ow)
+
+            def tap(i, j):
+                return dcols[:, :, i, j]
+        for i in range(kh):
+            for j in range(kw):
+                dst[..., i:i + stride * oh:stride, j:j + stride * ow:stride] += tap(i, j)
+
+    _run_tiles([slice(b * s // n, b * (s + 1) // n) for s in range(n)], images,
+               lambda: np.empty(buf_shape))
+    return dxp[:, :, padding:padding + h, padding:padding + wd]
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -677,9 +722,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             dw = np.matmul(gg, np.swapaxes(cols_g, -1, -2)).sum(axis=0)
             w._accumulate(dw.reshape(w.shape))
         if x.requires_grad:
-            dcols = np.matmul(np.swapaxes(w_g, -1, -2), gg)
-            dcols = dcols.reshape(b, cin, kh, kw, oh, ow)
-            x._accumulate(_col2im(dcols, x.shape, stride, padding))
+            x._accumulate(_conv_input_grad(g, w.data, x.shape, stride, padding, groups))
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _make(out, parents, "conv2d", backward)

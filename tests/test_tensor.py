@@ -367,6 +367,38 @@ class TestBackward:
         assert len(calls) == 1
         assert np.allclose(x.grad, [8.0])
 
+    def test_second_backward_adds_leaf_gradients_once(self):
+        x = Tensor([2.0], requires_grad=True)
+        y = x * 3.0
+        loss = y.sum()
+        loss.backward()
+        assert loss.grad is None and y.grad is None  # interior gradients are spent
+        loss.backward()
+        assert np.array_equal(x.grad, [6.0])
+
+    @pytest.mark.parametrize("case", ["add", "reshape", "avg", "max"])
+    def test_first_gradients_own_their_buffers(self, case):
+        # each op's backward hands its input a view: of its own gradient (add,
+        # reshape), of one gradient to two inputs (add), or a broadcast (avg, max)
+        rng = np.random.default_rng(15)
+        a = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        out = {"add": lambda: a + b,
+               "reshape": lambda: a.reshape(6, 20),
+               "avg": lambda: T.pool2d(a, "avg"),
+               "max": lambda: T.reduce_channel(a, "max")}[case]()
+        loss = out.sum()
+        loss.backward()
+        leaves = [t for t in (a, b) if t.grad is not None]
+        assert len(leaves) == (2 if case == "add" else 1)
+        for t in leaves:
+            g = t.grad
+            assert g.flags.owndata and g.flags.writeable and g.flags.c_contiguous
+            assert g.shape == t.shape
+            for other in [u.grad for u in leaves if u is not t] + [a.data, b.data, out.data,
+                                                                 loss.data]:
+                assert not np.shares_memory(g, other)
+
     def test_no_grad_blocks_recording(self):
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
@@ -407,19 +439,53 @@ class TestBackward:
 # kernel contracts of the allocation-light gelu, softmax and 1x1 conv
 # ----------------------------------------------------------------------
 
-def _tap_copy_conv(x, w, bias, stride, padding, groups):
-    """A conv whose windows are copied tap by tap into a C-ordered GEMM operand."""
-    (b, c, h, wd), (cout, cin_g, kh, kw) = x.shape, w.shape
+def _tap_copy(x, kh, kw, stride, padding):
+    """Every conv window of ``x``, copied tap by tap into a C-ordered
+    (B, C, kh, kw, OH, OW) array."""
+    b, c, h, wd = x.shape
     oh, ow = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((b, c, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols
+
+
+def _tap_copy_conv(x, w, bias, stride, padding, groups):
+    """A conv whose windows are copied tap by tap into a C-ordered GEMM operand."""
+    cout, cin_g, kh, kw = w.shape
+    cols = _tap_copy(x, kh, kw, stride, padding)
+    b, _, _, _, oh, ow = cols.shape
     out = np.matmul(w.reshape(groups, cout // groups, cin_g * kh * kw),
                     cols.reshape(b, groups, cin_g * kh * kw, oh * ow))
     out = out.reshape(b, cout, oh, ow)
     return out if bias is None else out + bias.reshape(1, cout, 1, 1)
+
+
+def _col2im(cols, shape, stride, padding):
+    """Window gradients (B, C, kh, kw, OH, OW) added back onto the input map."""
+    b, c, h, w = shape
+    _, _, kh, kw, oh, ow = cols.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    return xp[:, :, padding:padding + h, padding:padding + w]
+
+
+def _col2im_conv_grads(x, w, g, stride, padding, groups):
+    """conv2d's (x, w, bias) gradients for output gradient ``g`` through one
+    batch-wide window-gradient GEMM and ``_col2im``."""
+    (b, c, _, _), (cout, cin_g, kh, kw) = x.shape, w.shape
+    _, _, oh, ow = g.shape
+    k = cin_g * kh * kw
+    cols = _tap_copy(x, kh, kw, stride, padding)
+    w_g = w.reshape(groups, cout // groups, k)
+    gg = g.reshape(b, groups, cout // groups, oh * ow)
+    dw = np.matmul(gg, np.swapaxes(cols.reshape(b, groups, k, oh * ow), -1, -2)).sum(axis=0)
+    dcols = np.matmul(np.swapaxes(w_g, -1, -2), gg).reshape(b, c, kh, kw, oh, ow)
+    return _col2im(dcols, x.shape, stride, padding), dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
 
 
 class TestKernelContracts:
@@ -511,6 +577,36 @@ class TestKernelContracts:
         w = rng.normal(size=(groups, shape[1] // groups, k, k))
         out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, groups=groups)
         assert np.array_equal(out.data, _tap_copy_conv(x, w, None, stride, padding, groups))
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding, groups", [
+        ((3, 4, 7, 6), (4, 1, 3, 3), 1, 1, 4),  # depthwise 3x3
+        ((3, 2, 9, 8), (1, 2, 7, 7), 1, 3, 1),  # CBAM's 2->1 spatial conv
+        ((3, 4, 9, 9), (6, 4, 3, 3), 2, 1, 1),  # a later patch embed
+        ((3, 3, 17, 18), (5, 3, 7, 7), 4, 3, 1),  # the first patch embed
+        ((3, 4, 16, 24), (6, 4, 8, 8), 8, 0, 1),  # a key/value reduction
+        ((3, 4, 5, 6), (6, 2, 1, 1), 1, 0, 2),  # pointwise, grouped
+        ((3, 4, 6, 5), (2, 2, 3, 3), 1, 1, 2),  # one output, two inputs per group
+    ], ids=["depthwise3x3", "cbam7x7", "stride2", "stride4", "stride8", "pointwise_g2",
+            "cout_g1_cin_g2"])
+    def test_conv_grads_equal_col2im_route(self, monkeypatch, submitted, x_shape, w_shape,
+                                           stride, padding, groups):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        bias = Tensor(rng.normal(size=w_shape[0]), requires_grad=True)
+        monkeypatch.setattr(T, "_TAP_BYTES", 8)  # a slice of images per worker at any size
+        for workers in (1, 2):
+            monkeypatch.setattr(T, "TILE_WORKERS", workers)
+            for t in (x, w, bias):
+                t.zero_grad()
+            out = T.conv2d(x, w, bias, stride, padding, groups)
+            g = rng.normal(size=out.shape)
+            submitted.clear()
+            (out * Tensor(g)).sum().backward()
+            assert bool(submitted) == (workers > 1)
+            expect = _col2im_conv_grads(x.data, w.data, g, stride, padding, groups)
+            for t, e in zip((x, w, bias), expect):
+                assert _same(t.grad, e), workers
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_pointwise_conv_gradcheck(self, groups):
