@@ -15,10 +15,16 @@ Conventions fixed here (and relied on by the tests):
 conv2d lowers every kernel through one strided window view of its input.  The
 multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
 the transpose copy) work through their operands in cache-sized tiles of rows; a
-pointwise conv reads ``x`` in place, one GEMM per slab of rows.  conv2d's input
-gradient runs one slice of images per worker.  Where BLAS runs one thread, the
-tiles and slices run on up to ``TILE_WORKERS`` threads.  No result, forward or
-backward, depends on the tile size or the worker count.  Backward recomputes
+pointwise conv reads ``x`` in place, one GEMM per slab of rows.  The single-pass
+forward ops are split into one share per worker instead: matmul by batch/head
+axis or else by rows; add, mul, div and relu along the result's first axis with
+an entry per worker; bilinear_resize, pool2d and conv2d's zero padding by
+channels; reduce_channel by map rows; concat along an axis it does not join.
+conv2d's input gradient runs one slice of images per worker.  An op stays whole
+where its largest numpy call would move less than ``_SHARE_BYTES`` per worker.
+Where BLAS runs one thread, the tiles, shares and slices run on up to
+``TILE_WORKERS`` threads.  No result, forward or backward, depends on the tile
+size or the worker count.  Backward recomputes
 what it needs from an op's operands (layer_norm keeps a mean and scale per row);
 only conv2d keeps an intermediate, its window copy, while recording.  A node's
 first gradient is copied into a buffer of its own, and an interior node's is
@@ -45,9 +51,13 @@ _TILE_BYTES = 1 << 20
 # Most threads the tiles of one kernel run on; a constant, so that no host and no
 # input can ask for more.
 _MAX_WORKERS = 4
-# Fewest bytes a worker's share of one tap's add in conv2d's input gradient must
-# move: below it the handoff and the interpreter lock cost more than a core saves.
-_TAP_BYTES = 1 << 16
+# Fewest bytes the largest numpy call in a worker's share of a split op must read
+# and write.  Handing a share to the pool and back costs 0.1-0.15 ms on a 2-vCPU
+# host (the interpreter lock changes threads several times); a share of 0.75 MB
+# of an add, or 0.5 MB of a matmul, ran slower split than whole, and one of
+# 1.5 MB or 1 MB faster.  A share of many small calls gains less: CBAM's 7x7
+# input gradient, 49 adds of 64 KB per share, ran 3.4 ms whole and 4.5 ms split.
+_SHARE_BYTES = 1 << 20
 
 
 class no_grad:
@@ -278,29 +288,86 @@ def _executor():
 def _run_tiles(tiles: list, body, scratch=None) -> None:
     """Call ``body(tile, buf)`` for every tile, one contiguous group of tiles per worker.
 
-    The calling thread runs the first group and the pool the others, up to
-    ``TILE_WORKERS`` groups in all.  Each group's ``buf`` is a fresh ``scratch()``
-    (or None), allocated in the calling thread, so no worker thread's malloc arena
-    keeps it.  Bodies call numpy only, never an op of this module.  Every group
-    finishes before this returns or raises the error of the first group that
-    failed.
+    The calling thread runs the first group, then every group the pool has not
+    started by then; the pool runs the others.  There are up to ``TILE_WORKERS``
+    groups in all.  Each group's ``buf`` is a fresh ``scratch()`` (or None),
+    allocated in the calling thread, so no worker thread's malloc arena keeps it.
+    Bodies call numpy only, never an op of this module.  Every group finishes
+    before this returns or raises the error of the first group that failed.
     """
     n = min(len(tiles), TILE_WORKERS)
+    if n == 1:
+        buf = scratch() if scratch else None
+        for tile in tiles:
+            body(tile, buf)
+        return
     groups = [tiles[len(tiles) * g // n:len(tiles) * (g + 1) // n] for g in range(n)]
     bufs = [scratch() if scratch else None for _ in groups]
 
-    def run(group, buf):
-        for tile in group:
-            body(tile, buf)
+    def run(group, buf):  # returns the error that stopped the group, if any
+        try:
+            for tile in group:
+                body(tile, buf)
+        except Exception as error:
+            return error
+        return None
 
     futures = [_executor().submit(run, group, buf) for group, buf in zip(groups[1:], bufs[1:])]
+    errors = [None] * n
     try:
-        run(groups[0], bufs[0])
+        for g, future in enumerate([None] + futures):
+            if future is None or future.cancel():  # not started by the pool: run it here
+                errors[g] = run(groups[g], bufs[g])
     finally:
-        for future in futures:
-            future.exception()  # waits for the group without raising its error
-    for future in futures:
-        future.result()
+        for g, future in enumerate(futures, 1):
+            if not future.cancelled():
+                errors[g] = future.result()  # waits for the group
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _shares(n: int, nbytes: int) -> list[slice]:
+    """``n`` entries of an axis, cut into one slice per worker; fewer slices, down to
+    one, where a worker's share of the ``nbytes`` the work moves would fall below
+    ``_SHARE_BYTES``."""
+    k = max(1, min(n, TILE_WORKERS, nbytes // _SHARE_BYTES))
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _split_axis(shape: Sequence[int], skip: int | None = None) -> int | None:
+    """The first axis of ``shape``, other than ``skip``, with an entry per worker."""
+    return next((i for i, d in enumerate(shape) if d >= TILE_WORKERS and i != skip), None)
+
+
+def _at(axis: int, sl: slice) -> tuple:
+    """The index that takes ``sl`` of ``axis``."""
+    return (slice(None),) * axis + (sl,)
+
+
+def _along(x: np.ndarray, ndim: int, axis: int, sl: slice) -> np.ndarray:
+    """``x``'s part of slice ``sl`` of ``axis`` of the ``ndim``-D result it broadcasts
+    into: all of ``x`` where it does not span that axis."""
+    ax = axis - (ndim - x.ndim)
+    return x if ax < 0 or x.shape[ax] == 1 else x[_at(ax, sl)]
+
+
+def _elementwise(ufunc, *operands: np.ndarray) -> np.ndarray:
+    """``ufunc`` over broadcast operands into a new array, one share per worker of the
+    result's first axis with an entry per worker; operands that do not span that
+    axis (a per-channel or spatial gate, a bias) are passed whole."""
+    shape = np.broadcast(*operands).shape
+    axis = _split_axis(shape)
+    nbytes = 8 * math.prod(shape) + sum(o.nbytes for o in operands)
+    if axis is None or len(shares := _shares(shape[axis], nbytes)) == 1:
+        return ufunc(*operands)
+    out = np.empty(shape)
+
+    def share(sl, _):
+        ufunc(*(_along(o, out.ndim, axis, sl) for o in operands), out=out[_at(axis, sl)])
+
+    _run_tiles(shares, share)
+    return out
 
 
 def _tiles(n: int, row_bytes: int, align: int = 1,
@@ -321,7 +388,7 @@ def _tiles(n: int, row_bytes: int, align: int = 1,
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
+    data = _elementwise(np.add, a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
@@ -334,7 +401,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
+    data = _elementwise(np.multiply, a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
@@ -347,7 +414,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data / b.data
+    data = _elementwise(np.divide, a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
@@ -358,6 +425,39 @@ def div(a, b) -> Tensor:
     return _make(data, (a, b), "div", backward)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` one share per worker: of the first broadcast batch axis with an entry
+    per worker, else of ``a``'s rows.
+
+    OpenBLAS picks the kernel that sums a row by where the row falls in its
+    blocking.  Row shares of 16 to 96 rows, and a short last share, changed bits
+    at K=400; one share per worker, cut at a multiple of 16 rows, kept every
+    row's bits those of one whole GEMM on every matmul shape of the default model
+    at 640, at 2, 3 and 4 workers.
+    """
+    m = a.shape[-2]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1])
+    out = np.empty(shape)
+    axis = _split_axis(shape[:-2])
+    shares = _shares(m if axis is None else shape[axis], a.nbytes + b.nbytes + out.nbytes)
+    if len(shares) == 1:
+        return np.matmul(a, b, out=out)
+    if axis is not None:
+        def share(sl, _):
+            np.matmul(_along(a, out.ndim, axis, sl), _along(b, out.ndim, axis, sl),
+                      out=out[_at(axis, sl)])
+
+        _run_tiles(shares, share)
+    else:
+        rows = -(-m // len(shares) // 16) * 16
+
+        def share(i, _):
+            np.matmul(a[..., i:i + rows, :], b, out=out[..., i:i + rows, :])
+
+        _run_tiles(list(range(0, m, rows)), share)
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy-style broadcasting over leading axes."""
     a, b = _wrap(a), _wrap(b)
@@ -365,7 +465,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    data = _matmul(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
@@ -396,8 +496,7 @@ def transpose(x: Tensor, *axes) -> Tensor:
         axis = int(np.argmax(data.shape))
 
         def copy(sl, _):
-            at = (slice(None),) * axis + (sl,)
-            data[at] = view[at]
+            data[_at(axis, sl)] = view[_at(axis, sl)]
 
         _run_tiles(_tiles(data.shape[axis], data.nbytes // data.shape[axis])[1], copy)
 
@@ -408,23 +507,52 @@ def transpose(x: Tensor, *axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join along ``axis``, one share per worker of the first other axis with an entry
+    per worker."""
     tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    parts = [t.data for t in tensors]
+    ndim = parts[0].ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"concat axis {axis} invalid for shape {parts[0].shape}")
+    axis %= ndim
+    if len({p.shape[:axis] + p.shape[axis + 1:] for p in parts}) > 1:
+        raise ShapeError(f"concat shapes disagree off axis {axis}: {[p.shape for p in parts]}")
+    sizes = np.cumsum([p.shape[axis] for p in parts])
+    shape = parts[0].shape[:axis] + (int(sizes[-1]),) + parts[0].shape[axis + 1:]
+    data = np.empty(shape)
+    split = _split_axis(shape, skip=axis)
+    if split is None:
+        np.concatenate(parts, axis=axis, out=data)
+    else:
+        def share(sl, _):
+            at = _at(split, sl)
+            np.concatenate([p[at] for p in parts], axis=axis, out=data[at])
+
+        _run_tiles(_shares(shape[split], 2 * data.nbytes), share)
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, sizes, axis=axis)):
+        for t, piece in zip(tensors, np.split(g, sizes[:-1], axis=axis)):
             if t.requires_grad:
                 t._accumulate(piece)
 
     return _make(data, tensors, "concat", backward)
 
 
-def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
-    """Sum, mean (``"avg"``) or max over ``axis``, kept as size 1; to a scalar over
-    every element when ``axis`` is None.  A max gradient splits evenly among ties."""
-    reduce = {"sum": x.data.sum, "avg": x.data.mean, "max": x.data.max}[kind]
-    data = reduce(axis=axis, keepdims=axis is not None)
+def _reduce(x: Tensor, kind: str, axis, op: str, split: int | None = None) -> Tensor:
+    """Sum, mean (``"avg"``) or max over the ``axis`` tuple, kept as size 1; to a scalar
+    over every element when ``axis`` is None.  With ``split``, one share of that
+    axis per worker.  A max gradient splits evenly among ties."""
+    reduce = {"sum": np.sum, "avg": np.mean, "max": np.max}[kind]
+    if split is None:
+        data = reduce(x.data, axis=axis, keepdims=axis is not None)
+    else:
+        data = np.empty([1 if i in axis else d for i, d in enumerate(x.shape)])
+
+        def share(sl, _):
+            at = _at(split, sl)
+            reduce(x.data[at], axis=axis, keepdims=True, out=data[at])
+
+        _run_tiles(_shares(x.shape[split], x.data.nbytes), share)
 
     def backward(g):
         if kind == "avg":
@@ -468,7 +596,7 @@ def exp(x: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0.0)
+    data = _elementwise(np.maximum, x.data, _ZERO)
 
     def backward(g):
         x._accumulate(g * (x.data > 0.0))
@@ -489,6 +617,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_ZERO = np.float64(0.0)
 
 
 def _gelu_tanh(d: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -608,7 +737,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     oh = _conv_out(x.shape[2], kh, stride, padding)
     ow = _conv_out(x.shape[3], kw, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        b, c, h, w = x.shape
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+
+        def share(sl, _):  # one share of the channels per worker
+            xp[:, sl, padding:padding + h, padding:padding + w] = x[:, sl]
+
+        _run_tiles(_shares(c, x.nbytes + xp.nbytes), share)
+        x = xp
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
     return windows.transpose(0, 1, 4, 5, 2, 3), oh, ow
@@ -624,9 +760,11 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, shape, stride: int, padding: 
     cout, cin_g, kh, kw = w.shape
     _, _, oh, ow = g.shape
     dxp = np.zeros((b, cin, h + 2 * padding, wd + 2 * padding))
-    n = max(1, min(b, TILE_WORKERS, b * cin * oh * ow * dxp.itemsize // _TAP_BYTES))
-    per_slice = -(-b // n)
     single = cout == groups
+    # a slice's largest call: the window-gradient GEMM, or one tap's add, which reads
+    # a product and a block of dx and writes the block
+    slices = _shares(b, b * cin * oh * ow * dxp.itemsize * (3 if single else kh * kw))
+    per_slice = -(-b // len(slices))
     if single:
         taps = w.reshape(groups, cin_g, kh, kw)
         gs = g.reshape(b, groups, 1, oh, ow)
@@ -653,8 +791,7 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, shape, stride: int, padding: 
             for j in range(kw):
                 dst[..., i:i + stride * oh:stride, j:j + stride * ow:stride] += tap(i, j)
 
-    _run_tiles([slice(b * s // n, b * (s + 1) // n) for s in range(n)], images,
-               lambda: np.empty(buf_shape))
+    _run_tiles(slices, images, lambda: np.empty(buf_shape))
     return dxp[:, :, padding:padding + h, padding:padding + wd]
 
 
@@ -690,7 +827,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     pointwise = kh == kw == stride == 1 and not padding
     budget = None
     if pointwise:
-        per_image = -(-TILE_WORKERS // b)  # slabs that give every worker one
+        slabs = len(_shares(b * oh, x.data.nbytes + out.nbytes))
+        per_image = -(-slabs // b)  # a slab per worker
         budget = -(-oh // per_image) * row_bytes
     rows, tiles = _tiles(oh, row_bytes, 16 // math.gcd(ow, 16), budget)
     # Recording keeps every window for backward: copying them again there cut
@@ -739,13 +877,13 @@ def _check_map_reduce(x: Tensor, kind: str, name: str) -> None:
 def pool2d(x: Tensor, kind: str) -> Tensor:
     """Global average or max pooling to B,C,1,1."""
     _check_map_reduce(x, kind, "pool2d")
-    return _reduce(x, kind, (2, 3), f"pool_{kind}_global")
+    return _reduce(x, kind, (2, 3), f"pool_{kind}_global", split=1)
 
 
 def reduce_channel(x: Tensor, kind: str) -> Tensor:
     """Per-pixel reduction across the channel axis to B,1,H,W."""
     _check_map_reduce(x, kind, "reduce_channel")
-    return _reduce(x, kind, 1, f"reduce_{kind}")
+    return _reduce(x, kind, (1,), f"reduce_{kind}", split=2)
 
 
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
@@ -763,10 +901,21 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
 
 
 def _bilinear(x: np.ndarray, out_h: int, out_w: int):
-    """Bilinear resize of the last two axes; also returns the row and column weights."""
+    """Bilinear resize of the last two axes, one share of the channels (the axis
+    before them) per worker; also returns the row and column weights."""
     h, w = x.shape[-2:]
     wr, wc = _resize_weights(h, out_h), _resize_weights(w, out_w)
-    return wr @ x @ wc.T, wr, wc
+    out = np.empty(x.shape[:-2] + (out_h, out_w))
+    axis = x.ndim - 3
+    shares = _shares(x.shape[axis], x.nbytes + out.nbytes)
+    most = max(sl.stop - sl.start for sl in shares)
+
+    def share(sl, buf):  # buf holds the share's rows resized, before its columns
+        rows = np.matmul(wr, x[_at(axis, sl)], out=buf[_at(axis, slice(sl.stop - sl.start))])
+        np.matmul(rows, wc.T, out=out[_at(axis, sl)])
+
+    _run_tiles(shares, share, lambda: np.empty(x.shape[:axis] + (most, out_h, w)))
+    return out, wr, wc
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,18 @@ class TestBackward:
         assert b.grad.shape == (1, 3, 2, 2)
         assert np.allclose(a.grad, 2.0) and np.allclose(b.grad, 2.0)
 
+    @pytest.mark.parametrize("shapes, axis", [
+        ([(1, 2, 4, 4), (1, 3, 4, 5)], 1),  # off-axis widths disagree
+        ([(1, 2, 4, 4), (1, 3, 6, 4)], 1),  # rows disagree: the axis split across workers
+        ([(1, 2, 4, 4), (2, 4, 4)], 1),  # ranks disagree
+        ([(1, 2, 4, 4), (1, 3, 4, 4)], 4),  # no such axis
+    ], ids=["width", "split_axis", "rank", "axis"])
+    def test_concat_rejects_mismatched_shapes(self, monkeypatch, shapes, axis):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8)
+        with pytest.raises(ShapeError):
+            T.concat([Tensor.zeros(shape) for shape in shapes], axis=axis)
+
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(14)
         x = Tensor(rng.uniform(-10, 10, size=(2, 4, 6, 6)))
@@ -594,15 +607,16 @@ class TestKernelContracts:
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
         w = Tensor(rng.normal(size=w_shape), requires_grad=True)
         bias = Tensor(rng.normal(size=w_shape[0]), requires_grad=True)
-        monkeypatch.setattr(T, "_TAP_BYTES", 8)  # a slice of images per worker at any size
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8)  # a slice of images per worker at any size
         for workers in (1, 2):
             monkeypatch.setattr(T, "TILE_WORKERS", workers)
             for t in (x, w, bias):
                 t.zero_grad()
             out = T.conv2d(x, w, bias, stride, padding, groups)
             g = rng.normal(size=out.shape)
+            loss = (out * Tensor(g)).sum()
             submitted.clear()
-            (out * Tensor(g)).sum().backward()
+            loss.backward()
             assert bool(submitted) == (workers > 1)
             expect = _col2im_conv_grads(x.data, w.data, g, stride, padding, groups)
             for t, e in zip((x, w, bias), expect):
@@ -685,42 +699,84 @@ def submitted(monkeypatch):
 
 
 class TestTiles:
+    # each op's operand shapes; every operand is random and, with grad, a leaf
     OPS = {
-        "softmax": ((3, 2, 25, 40), lambda x, p: T.softmax(x, axis=-1, scale=0.37)),
-        "softmax_axis1": ((5, 4, 6, 7), lambda x, p: T.softmax(x, axis=1, scale=0.37)),
-        "layer_norm": ((2, 37, 24), lambda x, p: T.layer_norm(x, *p)),
-        "gelu": ((3, 41, 17), lambda x, p: T.gelu(x)),
-        "transpose_021": ((2, 300, 24), lambda x, p: T.transpose(x, 0, 2, 1)),
-        "transpose_0213": ((2, 100, 3, 8), lambda x, p: T.transpose(x, 0, 2, 1, 3)),
-        "transpose_0132": ((2, 3, 100, 8), lambda x, p: T.transpose(x, 0, 1, 3, 2)),
+        "softmax": ([(3, 2, 25, 40)], lambda x: T.softmax(x, axis=-1, scale=0.37)),
+        "softmax_axis1": ([(5, 4, 6, 7)], lambda x: T.softmax(x, axis=1, scale=0.37)),
+        "layer_norm": ([(2, 37, 24), (24,), (24,)], T.layer_norm),
+        "gelu": ([(3, 41, 17)], T.gelu),
+        "transpose_021": ([(2, 300, 24)], lambda x: T.transpose(x, 0, 2, 1)),
+        "transpose_0213": ([(2, 100, 3, 8)], lambda x: T.transpose(x, 0, 2, 1, 3)),
+        "transpose_0132": ([(2, 3, 100, 8)], lambda x: T.transpose(x, 0, 1, 3, 2)),
+        "add_same": ([(1, 7, 9, 10), (1, 7, 9, 10)], T.add),
+        "add_bias": ([(1, 45, 12), (12,)], T.add),
+        "add_batch": ([(3, 45, 12), (3, 45, 12)], T.add),
+        "mul_channel_gate": ([(1, 7, 9, 10), (1, 7, 1, 1)], T.mul),
+        "mul_spatial_gate": ([(1, 7, 9, 10), (1, 1, 9, 10)], T.mul),
+        "mul_batch_channel_gate": ([(3, 7, 9, 10), (3, 7, 1, 1)], T.mul),
+        "mul_2d_into_3d": ([(7, 90), (1, 7, 90)], T.mul),
+        "div": ([(1, 7, 90), (7, 90)], T.div),
+        "relu": ([(1, 7, 9, 10)], T.relu),
+        "matmul_heads": ([(1, 3, 40, 24), (1, 3, 24, 16)], T.matmul),
+        "matmul_rows": ([(1, 1, 50, 24), (1, 1, 24, 16)], T.matmul),
+        "matmul_3d_2d": ([(1, 64, 24), (24, 16)], T.matmul),
+        "matmul_batch_3d_2d": ([(3, 40, 24), (24, 16)], T.matmul),
+        "matmul_ham_16_rows": ([(1, 16, 256), (1, 256, 100)], T.matmul),
+        "bilinear_resize": ([(1, 7, 9, 10)], lambda x: T.bilinear_resize(x, 23, 17)),
+        "concat": ([(1, 2, 9, 10), (1, 3, 9, 10)], lambda a, b: T.concat([a, b], axis=1)),
+        "pool2d_avg": ([(1, 7, 9, 10)], lambda x: T.pool2d(x, "avg")),
+        "pool2d_max": ([(2, 7, 9, 10)], lambda x: T.pool2d(x, "max")),
+        "reduce_channel_avg": ([(1, 7, 9, 10)], lambda x: T.reduce_channel(x, "avg")),
+        "reduce_channel_max": ([(2, 7, 9, 10)], lambda x: T.reduce_channel(x, "max")),
     }
+    TILED = ("softmax", "layer_norm", "gelu", "transpose")  # cut into row tiles by _tiles
+    WHOLE = {"matmul_ham_16_rows"}  # 16 rows make one share: nothing to split
 
     @pytest.mark.parametrize("grad", [False, True])
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_op_equals_one_tile(self, budget, monkeypatch, submitted, op, grad):
-        shape, fn = self.OPS[op]
+        shapes, fn = self.OPS[op]
         rng = np.random.default_rng(30)
-        x = Tensor(rng.normal(size=shape) * 3.0, requires_grad=grad)
-        affine = [Tensor(rng.normal(size=shape[-1]), requires_grad=grad) for _ in range(2)]
+        xs = [Tensor(rng.normal(size=shape) * 3.0, requires_grad=grad) for shape in shapes]
         with T.no_grad():
-            weights = Tensor(rng.normal(size=fn(x, affine).shape))
+            weights = Tensor(rng.normal(size=fn(*xs).shape))
 
         def run():
-            for t in [x] + affine:
+            for t in xs:
                 t.zero_grad()
-            out = fn(x, affine)
+            out = fn(*xs)
             if grad:
                 (out * weights).sum().backward()
-            return [out.data] + [t.grad for t in [x] + affine if t.grad is not None]
+            return [out.data] + [t.grad for t in xs if t.grad is not None]
 
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8 * 16)  # shares of test-sized operands
+        monkeypatch.setattr(T, "TILE_WORKERS", 1)
         whole = budget.whole(run)
         for workers in (1, 2):
             monkeypatch.setattr(T, "TILE_WORKERS", workers)
             tiled = budget.ragged(run)
-            assert len(whole) == len(tiled) == (1 + (3 if op == "layer_norm" else 1) * grad)
+            assert len(whole) == len(tiled) == 1 + len(xs) * grad
             assert all(_same(a, b) for a, b in zip(whole, tiled)), workers
-            assert bool(submitted) == (workers > 1)
-        assert budget.splits and all(budget.was_ragged(t) for t in budget.splits)
+            submitted.clear()
+            with T.no_grad():
+                budget.ragged(lambda: fn(*xs))
+            assert bool(submitted) == (workers > 1 and op not in self.WHOLE)
+        assert bool(budget.splits) == op.startswith(self.TILED)
+        assert all(budget.was_ragged(t) for t in budget.splits)
+
+    @pytest.mark.parametrize("op", ["add_bias", "mul_channel_gate", "relu", "matmul_rows",
+                                    "bilinear_resize", "concat", "pool2d_avg",
+                                    "reduce_channel_avg"])
+    def test_op_below_share_bytes_submits_nothing(self, monkeypatch, submitted, op):
+        shapes, fn = self.OPS[op]
+        rng = np.random.default_rng(33)
+        xs = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        fn(*xs)
+        assert not submitted
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8)
+        fn(*xs)
+        assert submitted
 
     def test_default_model_convs_at_640(self, budget, monkeypatch):
         calls = {}  # one of each conv the default model runs at 640
@@ -749,6 +805,32 @@ class TestTiles:
             assert _same(whole, tiled), (x_shape, w_shape, stride, padding, groups)
             assert [budget.was_ragged(t) for t in budget.splits[before:]] == [True]
         assert len(calls) == 17
+
+    def test_default_model_matmuls_at_640(self, monkeypatch, submitted):
+        calls = {}  # one of each matmul the default model runs at 640
+        matmul = T.matmul
+
+        def spy(a, b):
+            calls[(a.shape, b.shape)] = None
+            return matmul(a, b)
+
+        monkeypatch.setattr(T, "matmul", spy)
+        model = ArmFormer(ModelConfig.default())
+        with T.no_grad():
+            model(Tensor(np.zeros((1, 3, 640, 640))))
+        monkeypatch.setattr(T, "matmul", matmul)
+
+        rng = np.random.default_rng(34)
+        for a_shape, b_shape in calls:
+            a, b = Tensor(rng.normal(size=a_shape)), Tensor(rng.normal(size=b_shape))
+            with T.no_grad():
+                monkeypatch.setattr(T, "TILE_WORKERS", 1)
+                whole = matmul(a, b).data
+                for workers in (2, 4):
+                    monkeypatch.setattr(T, "TILE_WORKERS", workers)
+                    assert _same(whole, matmul(a, b).data), (a_shape, b_shape, workers)
+        assert len(calls) == 44
+        assert len(submitted) > 40  # the large products split: by heads, batch or rows
 
     def test_reduced_model_gradients_at_128(self, budget, monkeypatch):
         model = ArmFormer(ModelConfig.reduced(128))
@@ -799,6 +881,40 @@ class TestWorkers:
         # each group stops at its failing tile; every other group ran to its end
         expect = list(range(500, 1000, 100)) if failing == "first" else list(range(0, 900, 100))
         assert sorted(finished) == [float(v) for v in expect]
+
+    def test_groups_the_pool_has_not_started_run_on_the_calling_thread(self, monkeypatch):
+        stalled = []
+
+        class Never(Future):  # a task that never starts; waiting on it fails, not hangs
+            def result(self, timeout=None):
+                return super().result(timeout=5)
+
+        class Stalled:
+            def submit(self, fn, *args):
+                stalled.append(Never())
+                return stalled[-1]
+
+        model = ArmFormer(ModelConfig.reduced(64))
+        data = synth_dataset(35, 2, 64)
+        images = Tensor(np.stack([image for image, _ in data]))
+        labels = np.stack([mask for _, mask in data])
+
+        def step():
+            for p in model.parameters():
+                p.zero_grad()
+            loss = cross_entropy(model(images), labels)
+            loss.backward()
+            return [loss.data] + [p.grad for p in model.parameters()]
+
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8)
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 12)
+        monkeypatch.setattr(T, "TILE_WORKERS", 1)
+        whole = step()
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        monkeypatch.setattr(T, "_executor", Stalled)
+        taken = step()
+        assert all(_same(a, b) for a, b in zip(whole, taken))
+        assert len(stalled) > 100 and all(f.cancelled() for f in stalled)
 
     @pytest.mark.parametrize("cpus, env, workers", [
         (64, {"OPENBLAS_NUM_THREADS": "1"}, T._MAX_WORKERS),
