@@ -17,19 +17,20 @@ multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
 the transpose copy) work through their operands in cache-sized tiles of rows; a
 pointwise conv reads ``x`` in place, one GEMM per slab of rows.  The single-pass
 forward ops are split into one share per worker instead: matmul by batch/head
-axis or else by rows; add, mul, div and relu along the result's first axis with
-an entry per worker; bilinear_resize, pool2d and conv2d's zero padding by
-channels; reduce_channel by map rows; concat along an axis it does not join.
-conv2d's input gradient runs one slice of images per worker.  An op stays whole
-where its largest numpy call would move less than ``_SHARE_BYTES`` per worker.
-Where BLAS runs one thread, the tiles, shares and slices run on up to
+axis or else by rows; bilinear_resize's two products by images or channels;
+add, mul, div and relu along the result's first axis with an entry per worker;
+pool2d and conv2d's zero padding by channels; reduce_channel by map rows; concat
+along an axis it does not join.  conv2d's input gradient runs one slice of
+images per worker.  An op stays whole where its largest numpy call would move
+less than ``_SHARE_BYTES`` per worker (a reduction, four times that).  Where
+BLAS runs one thread, the tiles, shares and slices run on up to
 ``TILE_WORKERS`` threads.  No result, forward or backward, depends on the tile
-size or the worker count.  Backward recomputes
-what it needs from an op's operands (layer_norm keeps a mean and scale per row);
-only conv2d keeps an intermediate, its window copy, while recording.  A node's
-first gradient is copied into a buffer of its own, and an interior node's is
-freed once its backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce
-every element.
+size or the worker count; a matmul split by rows is checked on the default
+model's products (see ``_matmul``).  Backward recomputes what it needs from an
+op's operands (layer_norm keeps a mean and scale per row); only conv2d keeps an
+intermediate, its window copy, while recording.  A node's first gradient is
+copied into a buffer of its own, and an interior node's is freed once its
+backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce every element.
 """
 
 from __future__ import annotations
@@ -296,11 +297,6 @@ def _run_tiles(tiles: list, body, scratch=None) -> None:
     before this returns or raises the error of the first group that failed.
     """
     n = min(len(tiles), TILE_WORKERS)
-    if n == 1:
-        buf = scratch() if scratch else None
-        for tile in tiles:
-            body(tile, buf)
-        return
     groups = [tiles[len(tiles) * g // n:len(tiles) * (g + 1) // n] for g in range(n)]
     bufs = [scratch() if scratch else None for _ in groups]
 
@@ -425,22 +421,25 @@ def div(a, b) -> Tensor:
     return _make(data, (a, b), "div", backward)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
     """``a @ b`` one share per worker: of the first broadcast batch axis with an entry
-    per worker, else of ``a``'s rows.
+    per worker, else of ``a``'s rows unless ``rows`` is False.
 
-    OpenBLAS picks the kernel that sums a row by where the row falls in its
-    blocking.  Row shares of 16 to 96 rows, and a short last share, changed bits
-    at K=400; one share per worker, cut at a multiple of 16 rows, kept every
-    row's bits those of one whole GEMM on every matmul shape of the default model
-    at 640, at 2, 3 and 4 workers.
+    Each matrix of a batch is a GEMM of its own, so a batch split keeps every
+    bit.  OpenBLAS picks the kernel that sums a row by where the row falls in
+    its blocking.  Row shares of 16 to 96 rows, and a short last share, changed
+    bits at K=400.  One share per worker, cut at a multiple of 16 rows, kept
+    every row's bits those of one whole GEMM on every product of the default
+    model at 640, at 2, 3 and 4 workers, but not on every shape: a
+    single-channel resize from 333x517 to 640x640 changed bits at 2 workers.
+    So a resize never splits rows.
     """
     m = a.shape[-2]
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1])
     out = np.empty(shape)
     axis = _split_axis(shape[:-2])
     shares = _shares(m if axis is None else shape[axis], a.nbytes + b.nbytes + out.nbytes)
-    if len(shares) == 1:
+    if len(shares) == 1 or axis is None and not rows:
         return np.matmul(a, b, out=out)
     if axis is not None:
         def share(sl, _):
@@ -449,12 +448,12 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
         _run_tiles(shares, share)
     else:
-        rows = -(-m // len(shares) // 16) * 16
+        step = -(-m // len(shares) // 16) * 16
 
         def share(i, _):
-            np.matmul(a[..., i:i + rows, :], b, out=out[..., i:i + rows, :])
+            np.matmul(a[..., i:i + step, :], b, out=out[..., i:i + step, :])
 
-        _run_tiles(list(range(0, m, rows)), share)
+        _run_tiles(list(range(0, m, step)), share)
     return out
 
 
@@ -552,7 +551,8 @@ def _reduce(x: Tensor, kind: str, axis, op: str, split: int | None = None) -> Te
             at = _at(split, sl)
             reduce(x.data[at], axis=axis, keepdims=True, out=data[at])
 
-        _run_tiles(_shares(x.shape[split], x.data.nbytes), share)
+        # a share of a reduction ran slower split up to 1 MB and no faster at 3.3 MB
+        _run_tiles(_shares(x.shape[split], x.data.nbytes // 4), share)
 
     def backward(g):
         if kind == "avg":
@@ -901,21 +901,11 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
 
 
 def _bilinear(x: np.ndarray, out_h: int, out_w: int):
-    """Bilinear resize of the last two axes, one share of the channels (the axis
-    before them) per worker; also returns the row and column weights."""
+    """Bilinear resize of the last two axes, as two products that ``_matmul`` splits by
+    images or channels; also returns the row and column weights."""
     h, w = x.shape[-2:]
     wr, wc = _resize_weights(h, out_h), _resize_weights(w, out_w)
-    out = np.empty(x.shape[:-2] + (out_h, out_w))
-    axis = x.ndim - 3
-    shares = _shares(x.shape[axis], x.nbytes + out.nbytes)
-    most = max(sl.stop - sl.start for sl in shares)
-
-    def share(sl, buf):  # buf holds the share's rows resized, before its columns
-        rows = np.matmul(wr, x[_at(axis, sl)], out=buf[_at(axis, slice(sl.stop - sl.start))])
-        np.matmul(rows, wc.T, out=out[_at(axis, sl)])
-
-    _run_tiles(shares, share, lambda: np.empty(x.shape[:axis] + (most, out_h, w)))
-    return out, wr, wc
+    return _matmul(_matmul(wr, x, rows=False), wc.T, rows=False), wr, wc
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:

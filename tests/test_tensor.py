@@ -807,30 +807,40 @@ class TestTiles:
         assert len(calls) == 17
 
     def test_default_model_matmuls_at_640(self, monkeypatch, submitted):
-        calls = {}  # one of each matmul the default model runs at 640
-        matmul = T.matmul
+        calls = {}  # one of each product the default model runs at 640, resizes included
+        matmul = T._matmul
 
-        def spy(a, b):
-            calls[(a.shape, b.shape)] = None
-            return matmul(a, b)
+        def spy(a, b, rows=True):
+            calls[(a.shape, b.shape, b.ndim == 2 and not b.flags.c_contiguous, rows)] = None
+            return matmul(a, b, rows)
 
-        monkeypatch.setattr(T, "matmul", spy)
+        monkeypatch.setattr(T, "_matmul", spy)
         model = ArmFormer(ModelConfig.default())
         with T.no_grad():
             model(Tensor(np.zeros((1, 3, 640, 640))))
-        monkeypatch.setattr(T, "matmul", matmul)
+        monkeypatch.setattr(T, "_matmul", matmul)
 
         rng = np.random.default_rng(34)
-        for a_shape, b_shape in calls:
-            a, b = Tensor(rng.normal(size=a_shape)), Tensor(rng.normal(size=b_shape))
-            with T.no_grad():
-                monkeypatch.setattr(T, "TILE_WORKERS", 1)
-                whole = matmul(a, b).data
-                for workers in (2, 4):
-                    monkeypatch.setattr(T, "TILE_WORKERS", workers)
-                    assert _same(whole, matmul(a, b).data), (a_shape, b_shape, workers)
-        assert len(calls) == 44
+        for a_shape, b_shape, transposed, rows in calls:
+            a = rng.normal(size=a_shape)
+            b = rng.normal(size=b_shape[::-1]).T if transposed else rng.normal(size=b_shape)
+            monkeypatch.setattr(T, "TILE_WORKERS", 1)
+            whole = matmul(a, b, rows)
+            for workers in (2, 3, 4):
+                monkeypatch.setattr(T, "TILE_WORKERS", workers)
+                assert _same(whole, matmul(a, b, rows)), (a_shape, b_shape, workers)
+        assert len(calls) == 52
         assert len(submitted) > 40  # the large products split: by heads, batch or rows
+
+    @pytest.mark.parametrize("shape", [(3, 333, 517), (1, 1, 333, 517)])
+    def test_resize_keeps_bits_at_every_worker_count(self, monkeypatch, shape):
+        # at 640x640 a split of this resize's rows changed bits at 2 and 4 workers
+        x = np.random.default_rng(35).random(shape)
+        monkeypatch.setattr(T, "TILE_WORKERS", 1)
+        whole = T._bilinear(x, 640, 640)[0]
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(T, "TILE_WORKERS", workers)
+            assert _same(whole, T._bilinear(x, 640, 640)[0]), workers
 
     def test_reduced_model_gradients_at_128(self, budget, monkeypatch):
         model = ArmFormer(ModelConfig.reduced(128))
