@@ -12,25 +12,27 @@ Conventions fixed here (and relied on by the tests):
 * gelu uses the tanh approximation,
 * softmax subtracts the per-axis max before exponentiating.
 
-conv2d lowers every kernel through one strided window view of its input.  The
-multi-pass kernels (conv2d's window copy and GEMM, softmax, layer_norm, gelu and
-the transpose copy) work through their operands in cache-sized tiles of rows; a
-pointwise conv reads ``x`` in place, one GEMM per slab of rows.  The single-pass
-forward ops are split into one share per worker instead: matmul by batch/head
-axis or else by rows; bilinear_resize's two products by images or channels;
-add, mul, div and relu along the result's first axis with an entry per worker;
-pool2d and conv2d's zero padding by channels; reduce_channel by map rows; concat
-along an axis it does not join.  conv2d's input gradient runs one slice of
-images per worker.  An op stays whole where its largest numpy call would move
-less than ``_SHARE_BYTES`` per worker (a reduction, four times that).  Where
-BLAS runs one thread, the tiles, shares and slices run on up to
-``TILE_WORKERS`` threads.  No result, forward or backward, depends on the tile
-size or the worker count; a matmul split by rows is checked on the default
-model's products (see ``_matmul``).  Backward recomputes what it needs from an
-op's operands (layer_norm keeps a mean and scale per row); only conv2d keeps an
-intermediate, its window copy, while recording.  A node's first gradient is
-copied into a buffer of its own, and an interior node's is freed once its
-backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce every element.
+conv2d lowers every kernel through one strided window view of its input.  One
+planner, ``_cut``, makes every list of slices.  The multi-pass kernels (conv2d's
+window copy and GEMM, softmax, layer_norm, gelu, the transpose copy) work through
+their operands in cache-sized tiles of rows (``_tiles``); a pointwise conv reads
+``x`` in place, one GEMM per slab of rows, a slab per worker.  The single-pass
+forward ops run one share per worker (``_split``): add, mul, div, relu, concat and
+the reductions along the result's first axis with an entry per worker (for concat,
+other than the one it joins; pool2d's channels and reduce_channel's map rows at
+batch 1); matmul by batch/head axis, else by rows; bilinear_resize's two products by
+images or channels; conv2d's zero padding by channels.  conv2d's input gradient runs
+one slice of images per worker.  An op stays whole where its largest numpy call
+would move less than ``_SHARE_BYTES`` per worker (a reduction, four times that).
+Where BLAS runs one thread, all of these run on up to ``TILE_WORKERS`` threads.
+Elementwise, reduction, concat, batch and tile cuts keep every bit at any size; row
+and column cuts of a GEMM with K > 384 (matmul's row shares, conv2d's slabs) are
+checked only on the default model's products at 640 and on the resize cases.
+Backward recomputes what it needs from an op's operands (layer_norm keeps a mean and
+scale per row); only conv2d keeps an intermediate, its window copy, while recording.
+A node's first gradient is copied into a buffer of its own, and an interior node's
+is freed once its backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce
+every element.
 """
 
 from __future__ import annotations
@@ -323,59 +325,53 @@ def _run_tiles(tiles: list, body, scratch=None) -> None:
             raise error
 
 
-def _shares(n: int, nbytes: int) -> list[slice]:
-    """``n`` entries of an axis, cut into one slice per worker; fewer slices, down to
-    one, where a worker's share of the ``nbytes`` the work moves would fall below
-    ``_SHARE_BYTES``."""
-    k = max(1, min(n, TILE_WORKERS, nbytes // _SHARE_BYTES))
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+def _cut(n: int, pieces: int, align: int = 1) -> list[slice]:
+    """``n`` rows cut into at most ``pieces`` slices of one height, ``n / pieces``
+    rounded up to a multiple of ``align``; the last slice may be shorter."""
+    step = -(-n // pieces // align) * align
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _split_axis(shape: Sequence[int], skip: int | None = None) -> int | None:
-    """The first axis of ``shape``, other than ``skip``, with an entry per worker."""
-    return next((i for i, d in enumerate(shape) if d >= TILE_WORKERS and i != skip), None)
+def _workers(n: int, nbytes: int) -> int:
+    """Shares to cut ``n`` entries into: one per worker, or fewer, down to one, where a
+    worker's share of the ``nbytes`` the work moves would fall below ``_SHARE_BYTES``."""
+    return max(1, min(n, TILE_WORKERS, nbytes // _SHARE_BYTES))
 
 
-def _at(axis: int, sl: slice) -> tuple:
-    """The index that takes ``sl`` of ``axis``."""
-    return (slice(None),) * axis + (sl,)
+def _tiles(n: int, row_bytes: int, align: int = 1, budget: int | None = None) -> list[slice]:
+    """``n`` rows of ``row_bytes`` each, cut into tiles of at most ``budget`` bytes,
+    ``_TILE_BYTES`` by default: every tile but the last holds the rows that fit, rounded
+    down to a multiple of ``align`` but at least ``align``; one tile if all fit."""
+    return _cut(n, n, max(align, (budget or _TILE_BYTES) // row_bytes // align * align))
 
 
-def _along(x: np.ndarray, ndim: int, axis: int, sl: slice) -> np.ndarray:
-    """``x``'s part of slice ``sl`` of ``axis`` of the ``ndim``-D result it broadcasts
-    into: all of ``x`` where it does not span that axis."""
-    ax = axis - (ndim - x.ndim)
-    return x if ax < 0 or x.shape[ax] == 1 else x[_at(ax, sl)]
+def _split(out: np.ndarray, nbytes: int, fill, *operands: np.ndarray, axis: int | None = None,
+           skip: int | None = None) -> np.ndarray:
+    """Call ``fill(part, *operand_parts)`` once per share (``_workers`` of ``nbytes``) of
+    ``axis``, by default ``out``'s first axis other than ``skip`` with an entry per
+    worker; return ``out``.  An operand broadcast into ``out`` that does not span that
+    axis (a bias, a per-channel or spatial gate) is passed whole."""
+    if axis is None:
+        axis = next((i for i, d in enumerate(out.shape) if d >= TILE_WORKERS and i != skip), None)
+    pieces = 1 if axis is None else _workers(out.shape[axis], nbytes)
+    if pieces == 1:
+        fill(out, *operands)
+        return out
 
+    def part(x, sl):  # x's entries in slice ``sl`` of ``axis``
+        ax = axis - (out.ndim - x.ndim)
+        return x if ax < 0 or x.shape[ax] == 1 else x[(slice(None),) * ax + (sl,)]
 
-def _elementwise(ufunc, *operands: np.ndarray) -> np.ndarray:
-    """``ufunc`` over broadcast operands into a new array, one share per worker of the
-    result's first axis with an entry per worker; operands that do not span that
-    axis (a per-channel or spatial gate, a bias) are passed whole."""
-    shape = np.broadcast(*operands).shape
-    axis = _split_axis(shape)
-    nbytes = 8 * math.prod(shape) + sum(o.nbytes for o in operands)
-    if axis is None or len(shares := _shares(shape[axis], nbytes)) == 1:
-        return ufunc(*operands)
-    out = np.empty(shape)
-
-    def share(sl, _):
-        ufunc(*(_along(o, out.ndim, axis, sl) for o in operands), out=out[_at(axis, sl)])
-
-    _run_tiles(shares, share)
+    _run_tiles(_cut(out.shape[axis], pieces),
+               lambda sl, _: fill(part(out, sl), *(part(x, sl) for x in operands)))
     return out
 
 
-def _tiles(n: int, row_bytes: int, align: int = 1,
-           budget: int | None = None) -> tuple[int, list[slice]]:
-    """Split ``n`` rows of ``row_bytes`` each into tiles of at most ``budget`` bytes,
-    ``_TILE_BYTES`` by default.
-
-    A tile holds a multiple of ``align`` rows, and at least that many; all
-    rows make one tile when they fit.  Returns the tile height and the slices.
-    """
-    rows = max(1, min(n, max(align, (budget or _TILE_BYTES) // row_bytes // align * align)))
-    return rows, [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+def _elementwise(ufunc, *operands: np.ndarray) -> np.ndarray:
+    """``ufunc`` over broadcast operands into a new array, split by ``_split``."""
+    out = np.empty(np.broadcast_shapes(*(o.shape for o in operands)))
+    return _split(out, out.nbytes + sum(o.nbytes for o in operands),
+                  lambda part, *ops: ufunc(*ops, out=part), *operands)
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +419,8 @@ def div(a, b) -> Tensor:
 
 def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
     """``a @ b`` one share per worker: of the first broadcast batch axis with an entry
-    per worker, else of ``a``'s rows unless ``rows`` is False.
+    per worker, else of ``a``'s rows, cut by ``_cut`` at a multiple of 16, unless
+    ``rows`` is False.
 
     Each matrix of a batch is a GEMM of its own, so a batch split keeps every
     bit.  OpenBLAS picks the kernel that sums a row by where the row falls in
@@ -432,28 +429,23 @@ def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
     every row's bits those of one whole GEMM on every product of the default
     model at 640, at 2, 3 and 4 workers, but not on every shape: a
     single-channel resize from 333x517 to 640x640 changed bits at 2 workers.
-    So a resize never splits rows.
+    So a resize never splits rows.  (``_split`` cannot cut rows: it would cut
+    ``b``'s second-to-last axis, which is K.)
     """
     m = a.shape[-2]
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1])
-    out = np.empty(shape)
-    axis = _split_axis(shape[:-2])
-    shares = _shares(m if axis is None else shape[axis], a.nbytes + b.nbytes + out.nbytes)
-    if len(shares) == 1 or axis is None and not rows:
-        return np.matmul(a, b, out=out)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1]))
+    nbytes = a.nbytes + b.nbytes + out.nbytes
+    axis = next((i for i, d in enumerate(out.shape[:-2]) if d >= TILE_WORKERS), None)
     if axis is not None:
-        def share(sl, _):
-            np.matmul(_along(a, out.ndim, axis, sl), _along(b, out.ndim, axis, sl),
-                      out=out[_at(axis, sl)])
+        return _split(out, nbytes, lambda part, a, b: np.matmul(a, b, out=part), a, b, axis=axis)
+    pieces = _workers(m, nbytes) if rows else 1
+    if pieces == 1:
+        return np.matmul(a, b, out=out)
 
-        _run_tiles(shares, share)
-    else:
-        step = -(-m // len(shares) // 16) * 16
+    def share(sl, _):
+        np.matmul(a[..., sl, :], b, out=out[..., sl, :])
 
-        def share(i, _):
-            np.matmul(a[..., i:i + step, :], b, out=out[..., i:i + step, :])
-
-        _run_tiles(list(range(0, m, step)), share)
+    _run_tiles(_cut(m, pieces, 16), share)
     return out
 
 
@@ -493,11 +485,12 @@ def transpose(x: Tensor, *axes) -> Tensor:
         # of the copy stays in cache
         view, data = data, np.empty(data.shape)
         axis = int(np.argmax(data.shape))
+        at = (slice(None),) * axis
 
         def copy(sl, _):
-            data[_at(axis, sl)] = view[_at(axis, sl)]
+            data[at + (sl,)] = view[at + (sl,)]
 
-        _run_tiles(_tiles(data.shape[axis], data.nbytes // data.shape[axis])[1], copy)
+        _run_tiles(_tiles(data.shape[axis], data.nbytes // data.shape[axis]), copy)
 
     def backward(g):
         x._accumulate(g.transpose(inverse))
@@ -506,8 +499,7 @@ def transpose(x: Tensor, *axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Join along ``axis``, one share per worker of the first other axis with an entry
-    per worker."""
+    """Join along ``axis``, split by ``_split`` on another axis."""
     tensors = [_wrap(t) for t in tensors]
     parts = [t.data for t in tensors]
     ndim = parts[0].ndim
@@ -519,15 +511,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = np.cumsum([p.shape[axis] for p in parts])
     shape = parts[0].shape[:axis] + (int(sizes[-1]),) + parts[0].shape[axis + 1:]
     data = np.empty(shape)
-    split = _split_axis(shape, skip=axis)
-    if split is None:
-        np.concatenate(parts, axis=axis, out=data)
-    else:
-        def share(sl, _):
-            at = _at(split, sl)
-            np.concatenate([p[at] for p in parts], axis=axis, out=data[at])
-
-        _run_tiles(_shares(shape[split], 2 * data.nbytes), share)
+    _split(data, 2 * data.nbytes, lambda part, *ps: np.concatenate(ps, axis=axis, out=part),
+           *parts, skip=axis)
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, sizes[:-1], axis=axis)):
@@ -537,22 +522,16 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _make(data, tensors, "concat", backward)
 
 
-def _reduce(x: Tensor, kind: str, axis, op: str, split: int | None = None) -> Tensor:
+def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
     """Sum, mean (``"avg"``) or max over the ``axis`` tuple, kept as size 1; to a scalar
-    over every element when ``axis`` is None.  With ``split``, one share of that
-    axis per worker.  A max gradient splits evenly among ties."""
+    over every element when ``axis`` is None.  Split by ``_split`` on an axis it keeps.
+    A max gradient splits evenly among ties."""
     reduce = {"sum": np.sum, "avg": np.mean, "max": np.max}[kind]
-    if split is None:
-        data = reduce(x.data, axis=axis, keepdims=axis is not None)
-    else:
-        data = np.empty([1 if i in axis else d for i, d in enumerate(x.shape)])
-
-        def share(sl, _):
-            at = _at(split, sl)
-            reduce(x.data[at], axis=axis, keepdims=True, out=data[at])
-
-        # a share of a reduction ran slower split up to 1 MB and no faster at 3.3 MB
-        _run_tiles(_shares(x.shape[split], x.data.nbytes // 4), share)
+    shape = () if axis is None else [1 if i in axis else d for i, d in enumerate(x.shape)]
+    # a share of a reduction ran slower split up to 1 MB and no faster at 3.3 MB
+    data = _split(np.empty(shape), x.data.nbytes // 4,
+                  lambda part, xs: reduce(xs, axis=axis, keepdims=axis is not None, out=part),
+                  x.data)
 
     def backward(g):
         if kind == "avg":
@@ -635,7 +614,7 @@ def gelu(x: Tensor) -> Tensor:
     """Tanh-approximate GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     d = x.data.reshape(-1)
     data = np.empty(d.size)
-    rows, tiles = _tiles(d.size, d.itemsize)
+    tiles = _tiles(d.size, d.itemsize)
 
     def tile(sl, scratch):
         ds, out = d[sl], data[sl]
@@ -643,7 +622,7 @@ def gelu(x: Tensor) -> Tensor:
         out *= ds
         out *= 0.5
 
-    _run_tiles(tiles, tile, lambda: np.empty(rows))
+    _run_tiles(tiles, tile, lambda: np.empty(tiles[0].stop))
 
     def backward(g):
         g = g.reshape(-1)
@@ -672,7 +651,7 @@ def softmax(x: Tensor, axis: int, scale: float = 1.0) -> Tensor:
         np.exp(out, out=out)
         out /= out.sum(axis=1, keepdims=True)
 
-    _run_tiles(_tiles(len(src), math.prod(x.shape[axis:]) * src.itemsize)[1], tile)
+    _run_tiles(_tiles(len(src), math.prod(x.shape[axis:]) * src.itemsize), tile)
     data = data.reshape(x.shape)
 
     def backward(g):
@@ -690,7 +669,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     src = x.data.reshape(-1, d)
     data = np.empty(src.shape)
     mean, inv = np.empty((len(src), 1)), np.empty((len(src), 1))
-    rows, tiles = _tiles(len(src), d * src.itemsize)
+    tiles = _tiles(len(src), d * src.itemsize)
 
     def tile(sl, scratch):
         xs, hs, out = src[sl], scratch[:sl.stop - sl.start], data[sl]
@@ -702,7 +681,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         np.multiply(gamma.data, hs, out=out)
         out += beta.data
 
-    _run_tiles(tiles, tile, lambda: np.empty((rows, d)))
+    _run_tiles(tiles, tile, lambda: np.empty((tiles[0].stop, d)))
 
     def backward(g):
         g = g.reshape(-1, d)
@@ -740,11 +719,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
         b, c, h, w = x.shape
         xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
 
-        def share(sl, _):  # one share of the channels per worker
-            xp[:, sl, padding:padding + h, padding:padding + w] = x[:, sl]
+        def fill(part, xs):  # one share of the channels per worker
+            part[:, :, padding:padding + h, padding:padding + w] = xs
 
-        _run_tiles(_shares(c, x.nbytes + xp.nbytes), share)
-        x = xp
+        x = _split(xp, x.nbytes + xp.nbytes, fill, x, axis=1)
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, :stride * oh:stride, :stride * ow:stride]
     return windows.transpose(0, 1, 4, 5, 2, 3), oh, ow
@@ -763,8 +741,8 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, shape, stride: int, padding: 
     single = cout == groups
     # a slice's largest call: the window-gradient GEMM, or one tap's add, which reads
     # a product and a block of dx and writes the block
-    slices = _shares(b, b * cin * oh * ow * dxp.itemsize * (3 if single else kh * kw))
-    per_slice = -(-b // len(slices))
+    slices = _cut(b, _workers(b, b * cin * oh * ow * dxp.itemsize * (3 if single else kh * kw)))
+    per_slice = slices[0].stop
     if single:
         taps = w.reshape(groups, cin_g, kh, kw)
         gs = g.reshape(b, groups, 1, oh, ow)
@@ -825,12 +803,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     out = np.empty((b, groups, cout // groups, oh * ow))
     row_bytes = cin * kh * kw * ow * cols.itemsize
     pointwise = kh == kw == stride == 1 and not padding
-    budget = None
-    if pointwise:
-        slabs = len(_shares(b * oh, x.data.nbytes + out.nbytes))
-        per_image = -(-slabs // b)  # a slab per worker
-        budget = -(-oh // per_image) * row_bytes
-    rows, tiles = _tiles(oh, row_bytes, 16 // math.gcd(ow, 16), budget)
+    per_image = -(-_workers(b * oh, x.data.nbytes + out.nbytes) // b)  # a slab per worker
+    budget = -(-oh // per_image) * row_bytes if pointwise else None
+    tiles = _tiles(oh, row_bytes, 16 // math.gcd(ow, 16), budget)
     # Recording keeps every window for backward: copying them again there cut
     # train-128's peak RSS 416 -> 371 MB but cost 6-15% of its p50 latency.
     keep = _records((x, w, bias))
@@ -845,7 +820,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             tile = windows
         np.matmul(w_g, tile.reshape(groups, k, -1), out=out[i, ..., sl.start * ow:sl.stop * ow])
 
-    scratch = None if store is not None else lambda: np.empty(cols.shape[1:4] + (rows, ow))
+    scratch = None if store is not None else lambda: np.empty(cols[0, ..., tiles[0], :].shape)
     _run_tiles([(i, sl) for i in range(b) for sl in tiles], slab, scratch)
     out = out.reshape(b, cout, oh, ow)
     if bias is not None:
@@ -877,13 +852,13 @@ def _check_map_reduce(x: Tensor, kind: str, name: str) -> None:
 def pool2d(x: Tensor, kind: str) -> Tensor:
     """Global average or max pooling to B,C,1,1."""
     _check_map_reduce(x, kind, "pool2d")
-    return _reduce(x, kind, (2, 3), f"pool_{kind}_global", split=1)
+    return _reduce(x, kind, (2, 3), f"pool_{kind}_global")
 
 
 def reduce_channel(x: Tensor, kind: str) -> Tensor:
     """Per-pixel reduction across the channel axis to B,1,H,W."""
     _check_map_reduce(x, kind, "reduce_channel")
-    return _reduce(x, kind, (1,), f"reduce_{kind}", split=2)
+    return _reduce(x, kind, (1,), f"reduce_{kind}")
 
 
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:

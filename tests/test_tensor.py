@@ -660,9 +660,9 @@ class TileBudget:
         tiles = T._tiles
 
         def split(n, row_bytes, align=1, budget=None):
-            rows, slices = tiles(n, row_bytes, align, height(n, align) * row_bytes)
+            slices = tiles(n, row_bytes, align, height(n, align) * row_bytes)
             splits.append(slices)
-            return rows, slices
+            return slices
 
         self.monkeypatch.setattr(T, "_tiles", split)
         try:
@@ -764,9 +764,9 @@ class TestTiles:
         assert bool(budget.splits) == op.startswith(self.TILED)
         assert all(budget.was_ragged(t) for t in budget.splits)
 
-    @pytest.mark.parametrize("op", ["add_bias", "mul_channel_gate", "relu", "matmul_rows",
-                                    "bilinear_resize", "concat", "pool2d_avg",
-                                    "reduce_channel_avg"])
+    @pytest.mark.parametrize("op", ["add_bias", "mul_channel_gate", "div", "relu",
+                                    "matmul_rows", "bilinear_resize", "concat", "pool2d_avg",
+                                    "pool2d_max", "reduce_channel_avg", "reduce_channel_max"])
     def test_op_below_share_bytes_submits_nothing(self, monkeypatch, submitted, op):
         shapes, fn = self.OPS[op]
         rng = np.random.default_rng(33)
@@ -777,6 +777,19 @@ class TestTiles:
         monkeypatch.setattr(T, "_SHARE_BYTES", 8)
         fn(*xs)
         assert submitted
+
+    @pytest.mark.parametrize("align", [1, 4, 16])
+    def test_cut_makes_contiguous_slices_of_one_aligned_height(self, align):
+        for n in range(1, 101):
+            for pieces in range(1, 6):
+                cut = T._cut(n, pieces, align)
+                heights = [sl.stop - sl.start for sl in cut]
+                assert [i for sl in cut for i in range(sl.start, sl.stop)] == list(range(n))
+                assert 1 <= len(cut) <= pieces and min(heights) > 0, (n, pieces)
+                # n / pieces rounded up to a multiple of align; only the last is shorter
+                height = min(n, align * math.ceil(math.ceil(n / pieces) / align))
+                assert heights[:-1] == [height] * (len(cut) - 1) and heights[-1] <= height
+                assert height % align == 0 or len(cut) == 1, (n, pieces)
 
     def test_default_model_convs_at_640(self, budget, monkeypatch):
         calls = {}  # one of each conv the default model runs at 640
