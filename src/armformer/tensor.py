@@ -25,6 +25,10 @@ images or channels; conv2d's zero padding by channels.  conv2d's input gradient 
 one slice of images per worker.  An op stays whole where its largest numpy call
 would move less than ``_SHARE_BYTES`` per worker (a reduction, four times that).
 Where BLAS runs one thread, all of these run on up to ``TILE_WORKERS`` threads.
+``run_whole`` runs several tasks at once on those threads (``model.train_step``
+runs the forward, loss and backward of each half of a batch as one task).  Inside
+a task every op runs whole on the task's thread, its tiles in order, and hands
+nothing to the pool, so a task's bits do not depend on ``TILE_WORKERS``.
 Elementwise, reduction, concat, batch and tile cuts keep every bit at any size; row
 and column cuts of a GEMM with K > 384 (matmul's row shares, conv2d's slabs) are
 checked only on the default model's products at 640 and on the resize cases.
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +65,15 @@ _MAX_WORKERS = 4
 # 1.5 MB or 1 MB faster.  A share of many small calls gains less: CBAM's 7x7
 # input gradient, 49 adds of 64 KB per share, ran 3.4 ms whole and 4.5 ms split.
 _SHARE_BYTES = 1 << 20
+
+
+class _Whole(threading.local):
+    """Per thread: whether ops run whole on it (inside a ``run_whole`` task)."""
+
+    on = False
+
+
+_whole = _Whole()
 
 
 class no_grad:
@@ -295,10 +308,14 @@ def _run_tiles(tiles: list, body, scratch=None) -> None:
     started by then; the pool runs the others.  There are up to ``TILE_WORKERS``
     groups in all.  Each group's ``buf`` is a fresh ``scratch()`` (or None),
     allocated in the calling thread, so no worker thread's malloc arena keeps it.
-    Bodies call numpy only, never an op of this module.  Every group finishes
-    before this returns or raises the error of the first group that failed.
+    Bodies call numpy only, except ``run_whole``'s tasks, which call ops of this
+    module: on a task's thread every op keeps its tiles in one group on that
+    thread, so nothing nested reaches the pool.  Every group finishes before this
+    returns or raises the error of the first group that failed.
     """
-    n = min(len(tiles), TILE_WORKERS)
+    if not tiles:
+        return
+    n = min(len(tiles), _width())
     groups = [tiles[len(tiles) * g // n:len(tiles) * (g + 1) // n] for g in range(n)]
     bufs = [scratch() if scratch else None for _ in groups]
 
@@ -325,9 +342,36 @@ def _run_tiles(tiles: list, body, scratch=None) -> None:
             raise error
 
 
+def run_whole(tasks: Sequence[Callable[[], object]]) -> list:
+    """Call every task, as many at once as there are tile workers, and return their
+    results in order, or raise the error of the first task that failed once every
+    task has finished.  The calling thread runs the first task.  Each task's ops run
+    whole on its own thread (``_width``)."""
+    results = [None] * len(tasks)
+
+    def task(i, _):
+        was, _whole.on = _whole.on, True
+        try:
+            results[i] = tasks[i]()
+        finally:
+            _whole.on = was
+
+    _run_tiles(list(range(len(tasks))), task)
+    return results
+
+
+def _width() -> int:
+    """Workers an op on this thread may use: ``TILE_WORKERS``, or one in a ``run_whole``
+    task."""
+    return 1 if _whole.on else TILE_WORKERS
+
+
 def _cut(n: int, pieces: int, align: int = 1) -> list[slice]:
     """``n`` rows cut into at most ``pieces`` slices of one height, ``n / pieces``
-    rounded up to a multiple of ``align``; the last slice may be shorter."""
+    rounded up to a multiple of ``align``; the last slice may be shorter.  No rows
+    make no slices."""
+    if not n:
+        return []
     step = -(-n // pieces // align) * align
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
@@ -335,7 +379,7 @@ def _cut(n: int, pieces: int, align: int = 1) -> list[slice]:
 def _workers(n: int, nbytes: int) -> int:
     """Shares to cut ``n`` entries into: one per worker, or fewer, down to one, where a
     worker's share of the ``nbytes`` the work moves would fall below ``_SHARE_BYTES``."""
-    return max(1, min(n, TILE_WORKERS, nbytes // _SHARE_BYTES))
+    return max(1, min(n, _width(), nbytes // _SHARE_BYTES))
 
 
 def _tiles(n: int, row_bytes: int, align: int = 1, budget: int | None = None) -> list[slice]:
@@ -352,7 +396,7 @@ def _split(out: np.ndarray, nbytes: int, fill, *operands: np.ndarray, axis: int 
     worker; return ``out``.  An operand broadcast into ``out`` that does not span that
     axis (a bias, a per-channel or spatial gate) is passed whole."""
     if axis is None:
-        axis = next((i for i, d in enumerate(out.shape) if d >= TILE_WORKERS and i != skip), None)
+        axis = next((i for i, d in enumerate(out.shape) if d >= _width() and i != skip), None)
     pieces = 1 if axis is None else _workers(out.shape[axis], nbytes)
     if pieces == 1:
         fill(out, *operands)
@@ -435,7 +479,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
     m = a.shape[-2]
     out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1]))
     nbytes = a.nbytes + b.nbytes + out.nbytes
-    axis = next((i for i, d in enumerate(out.shape[:-2]) if d >= TILE_WORKERS), None)
+    axis = next((i for i, d in enumerate(out.shape[:-2]) if d >= _width()), None)
     if axis is not None:
         return _split(out, nbytes, lambda part, a, b: np.matmul(a, b, out=part), a, b, axis=axis)
     pieces = _workers(m, nbytes) if rows else 1
@@ -914,15 +958,22 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= n_cls:
         raise ContractError(f"labels must lie in [0, {n_cls})")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    onehot = np.moveaxis(np.eye(n_cls)[labels.astype(np.int64)], -1, 1)
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(logp)
+    logp -= np.log(e.sum(axis=1, keepdims=True))
+    # True at each position's label class.  The loss sums log p masked to the labels
+    # over the whole (B, C, ...) array, the order a one-hot product summed in: a sum
+    # of the gathered log p alone changed the loss's last bit.
+    classes = np.arange(n_cls).reshape((-1,) + (1,) * (labels.ndim - 1))
+    at = np.expand_dims(labels.astype(np.int64), 1) == classes
     n = labels.size
-    data = -(onehot * logp).sum() / n
+    data = -np.multiply(logp, at, out=e).sum() / n
 
     def backward(g):
-        p = np.exp(logp)
-        logits._accumulate(g * (p - onehot) / n)
+        dx = np.exp(logp)
+        dx -= at  # p - 1 at the labels
+        dx *= g
+        dx /= n
+        logits._accumulate(dx)
 
     return _make(np.asarray(data), (logits,), "softmax_cross_entropy", backward)

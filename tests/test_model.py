@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from armformer import model as M
+from armformer import tensor as T
+from armformer.data import synth_dataset
 from armformer.decoder import HamConfig
 from armformer.errors import (CheckpointError, ConfigError, ContractError,
                               DataError, TrainingError)
@@ -205,6 +210,129 @@ class TestTraining:
         assert len(calls) == 2
         assert history[2].metrics == {"miou": 1.0}
         assert history[0].metrics is None
+
+
+class TestSplitStep:
+    """A batch of two or more trains as two halves at once, on the model and a replica."""
+
+    @pytest.mark.parametrize("b", [2, 3, 8])
+    def test_fit_same_bits_at_every_worker_count(self, monkeypatch, b):
+        data = synth_dataset(5, 8, 64)
+
+        def run():
+            model = ArmFormer(toy_config(seed=2))
+            history = fit(model, data, TrainSchedule(steps=2, batch_size=b, seed=4))
+            return [h.loss for h in history], checkpoint_save(model)
+
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the halves' threads trade the interpreter often
+        try:
+            for workers in (1, 2, 3, 4):
+                monkeypatch.setattr(T, "TILE_WORKERS", workers)
+                runs.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == runs[0] for r in runs[1:])
+
+    def test_batch_one_is_one_graph(self, monkeypatch):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        batch = toy_batch(b=1, seed=3)
+        model, twin = ArmFormer(toy_config(seed=6)), ArmFormer(toy_config(seed=6))
+        value = train_step(model, batch, AdamW(list(model.named_parameters())))
+        opt = AdamW(list(twin.named_parameters()))
+        loss = cross_entropy(twin(batch.images), batch.labels)
+        loss.backward()
+        opt.step()
+        assert value == loss.item()
+        assert all(np.array_equal(p.data, q.data)
+                   for p, q in zip(model.parameters(), twin.parameters()))
+
+    def test_halves_match_whole_batch_to_rounding(self, monkeypatch):
+        # 2 + 1 images: each half's loss weighted by its share of the pixels
+        model, batch = ArmFormer(toy_config(seed=7)), toy_batch(b=3, seed=8)
+        loss = cross_entropy(model(batch.images), batch.labels)
+        loss.backward()
+        whole = [p.grad for p in model.parameters()]
+        grads = []
+        monkeypatch.setattr(AdamW, "step", lambda opt: grads.extend(p.grad for _, p in opt.params))
+        for p in model.parameters():
+            p.zero_grad()
+        value = train_step(model, batch, AdamW(list(model.named_parameters())))
+        assert value == pytest.approx(loss.item(), rel=1e-12)
+        assert len(grads) == len(whole)
+        scale = max(np.abs(g).max() for g in whole)  # some gradients are 0 up to rounding
+        for got, want in zip(grads, whole):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
+
+    def test_halves_share_weight_arrays_and_no_tensor(self, monkeypatch):
+        logits = []
+
+        def spy(out, labels):
+            logits.append(out)
+            return cross_entropy(out, labels)
+
+        monkeypatch.setattr(M, "cross_entropy", spy)
+        model = ArmFormer(toy_config())
+        replica = model.replica()
+        for p, r in zip(model.parameters(), replica.parameters()):
+            assert p is not r and p.data is r.data
+        train_step(model, toy_batch(b=3), AdamW(list(model.named_parameters())), replica)
+        graphs = []
+        for out in sorted(logits, key=lambda t: -t.shape[0]):  # the model's half first
+            seen, stack = {id(out): out}, [out]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen[id(parent)] = parent
+                        stack.append(parent)
+            graphs.append(seen)
+        assert sorted(t.shape[0] for t in logits) == [1, 2]
+        assert not set(graphs[0]) & set(graphs[1])
+        for net, graph in zip((model, replica), graphs):
+            assert {id(p) for p in net.parameters()} <= set(graph)
+        assert all(r.grad is None for r in replica.parameters())
+
+    def test_half_ops_submit_nothing(self, monkeypatch, submitted):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        monkeypatch.setattr(T, "_SHARE_BYTES", 8)
+        monkeypatch.setattr(T, "_TILE_BYTES", 1 << 12)
+        model, batch = ArmFormer(toy_config()), toy_batch(b=2)
+        cross_entropy(model(batch.images), batch.labels).backward()
+        assert len(submitted) > 100  # the same ops outside a half split
+        submitted.clear()
+        train_step(model, batch, AdamW(list(model.named_parameters())))
+        assert len(submitted) == 1  # the second half, and nothing from inside either half
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nonfinite_loss_in_either_half(self, bad):
+        model, batch = ArmFormer(toy_config()), toy_batch(b=2)
+        batch.images.data[bad] = np.nan
+        opt = AdamW(list(model.named_parameters()))
+        with pytest.raises(TrainingError, match="non-finite loss nan at optimizer step 1;"):
+            train_step(model, batch, opt)
+        assert opt.t == 0 and all(p.grad is None for p in model.parameters())
+
+    def test_error_in_pooled_half_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        model = ArmFormer(toy_config())
+        opt = AdamW(list(model.named_parameters()))
+        replica = model.replica()
+        started, encoder = threading.Event(), model.encoder
+
+        def failing(images):  # the replica's half, which the pool runs
+            started.set()
+            raise ValueError(f"half on {threading.current_thread().name} failed")
+
+        def waiting(images):  # the model's half, on the calling thread
+            assert started.wait(timeout=30)
+            return encoder(images)
+
+        replica.encoder, model.encoder = failing, waiting
+        with pytest.raises(ValueError, match="half on armformer-tiles.* failed"):
+            train_step(model, toy_batch(b=2), opt, replica)
+        assert opt.t == 0 and all(p.grad is None for p in model.parameters())
 
 
 class TestCheckpoint:

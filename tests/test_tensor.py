@@ -418,6 +418,19 @@ class TestBackward:
         with pytest.raises(ContractError):
             T.softmax_cross_entropy(logits, np.full((1, 2, 2), 3))
 
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_cross_entropy_equals_one_hot_formula(self, b):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            logits = Tensor(rng.normal(size=(b, 6, 64, 64)) * 3.0, requires_grad=True)
+            labels = rng.integers(0, 6, size=(b, 64, 64))
+            g = rng.uniform(0.5, 2.0)
+            loss = T.softmax_cross_entropy(logits, labels)
+            (loss * g).backward()
+            value, grad = _one_hot_cross_entropy(logits.data, labels, g)
+            assert loss.data.tobytes() == np.asarray(value).tobytes(), seed
+            assert _same(logits.grad, grad), seed
+
     def test_concat_backward_splits(self):
         a = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
         b = Tensor(np.ones((1, 3, 2, 2)), requires_grad=True)
@@ -451,6 +464,16 @@ class TestBackward:
 # ----------------------------------------------------------------------
 # kernel contracts of the allocation-light gelu, softmax and 1x1 conv
 # ----------------------------------------------------------------------
+
+def _one_hot_cross_entropy(logits, labels, g):
+    """Cross-entropy and its logits gradient, seeded with ``g``, through a one-hot array
+    of the labels: the reference ``T.softmax_cross_entropy`` keeps the bits of."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    onehot = np.moveaxis(np.eye(logits.shape[1])[labels], -1, 1)
+    n = labels.size
+    return -(onehot * logp).sum() / n, g * (np.exp(logp) - onehot) / n
+
 
 def _tap_copy(x, kh, kw, stride, padding):
     """Every conv window of ``x``, copied tap by tap into a C-ordered
@@ -683,21 +706,6 @@ def budget(monkeypatch):
     return TileBudget(monkeypatch)
 
 
-@pytest.fixture
-def submitted(monkeypatch):
-    """The groups of tiles handed to the worker pool, as their argument tuples."""
-    groups = []
-    pool = T._executor()
-
-    class Recording:
-        def submit(self, fn, *args):
-            groups.append(args)
-            return pool.submit(fn, *args)
-
-    monkeypatch.setattr(T, "_executor", Recording)
-    return groups
-
-
 class TestTiles:
     # each op's operand shapes; every operand is random and, with grad, a leaf
     OPS = {
@@ -777,6 +785,19 @@ class TestTiles:
         monkeypatch.setattr(T, "_SHARE_BYTES", 8)
         fn(*xs)
         assert submitted
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_rows_give_empty_results(self, monkeypatch, workers):
+        monkeypatch.setattr(T, "TILE_WORKERS", workers)
+        assert T._cut(0, 2) == []
+        x = Tensor(np.zeros((0, 3)), requires_grad=True)
+        ones, zeros = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        outs = {"gelu": T.gelu(x), "softmax": T.softmax(x, axis=-1),
+                "layer_norm": T.layer_norm(x, ones, zeros), "transpose": T.transpose(x, 1, 0)}
+        for name, out in outs.items():
+            assert out.shape == ((3, 0) if name == "transpose" else (0, 3)), name
+            out.sum().backward()
+        assert x.grad.shape == (0, 3)
 
     @pytest.mark.parametrize("align", [1, 4, 16])
     def test_cut_makes_contiguous_slices_of_one_aligned_height(self, align):
