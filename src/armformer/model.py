@@ -177,49 +177,28 @@ def make_batch(samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> Batch:
     return Batch(images, labels)
 
 
-# Parts a batch of two or more images trains as, at once on the tile workers.  On a
-# 2-core host, a reduced-config batch-8 128x128 step took a median 212 ms as two
-# halves against 216 ms whole at one worker, and 154 ms as two halves against 204 ms
-# as four parts at two workers.  A constant, not the worker count, so trained bits
-# depend on the batch size and never on ``TILE_WORKERS``.
+# Parts a batch trains as, at once on the tile workers; a batch of one image is one
+# part.  On a 2-core host, a reduced-config batch-8 128x128 step took a median 212 ms
+# as two halves against 216 ms whole at one worker, and 154 ms as two halves against
+# 204 ms as four parts at two workers.  A constant, not the worker count, so trained
+# bits depend on the batch size and never on ``TILE_WORKERS``.
 HALVES = 2
-
-
-def _nonfinite(value: float, opt: AdamW) -> TrainingError:
-    return TrainingError(f"non-finite loss {value!r} at optimizer step {opt.t + 1}; "
-                         f"check learning rate and input scaling")
 
 
 def train_step(model: ArmFormer, batch: Batch, opt: AdamW,
                replica: ArmFormer | None = None) -> float:
     """One AdamW step on ``batch``; returns its mean pixel loss.
 
-    A batch of one image runs as one graph.  A larger one is cut into ``HALVES``
-    parts that run forward, loss and backward at once (``T.run_whole``): the first
-    on ``model``, the second on ``replica``, a ``model.replica()`` (made here when
-    not given) that shares its weight arrays.  Each part's loss is weighted by its
-    share of the pixels, the replica's gradients are added into the model's, and
-    AdamW steps once.
+    The batch is cut into at most ``HALVES`` parts that run forward, loss and
+    backward at once (``T.run_whole``), each with every op whole on its thread: the
+    first on ``model``, on the calling thread, the second on ``replica``, a
+    ``model.replica()`` (made here when not given) that shares its weight arrays.
+    Each part's loss is weighted by its share of the pixels, the replica's gradients
+    are added into the model's, and AdamW steps once.
     """
-    if len(batch.labels) == 1:
-        loss = cross_entropy(model(batch.images), batch.labels)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise _nonfinite(value, opt)
-        loss.backward()
-    else:
-        value = _step_halves(model, model.replica() if replica is None else replica, batch, opt)
-    opt.step()
-    opt.zero_grad()
-    return value
-
-
-def _step_halves(model: ArmFormer, replica: ArmFormer, batch: Batch, opt: AdamW) -> float:
-    """Forward, loss and backward of ``batch``'s halves, one on ``model`` and one on
-    ``replica``; leaves the summed gradients in ``model``'s parameters."""
     pixels = batch.labels.size
 
-    def half(net: ArmFormer, rows: slice) -> float:
+    def part(net: ArmFormer, rows: slice) -> float:
         labels = batch.labels[rows]
         loss = cross_entropy(net(Tensor(batch.images.data[rows])), labels) * (labels.size / pixels)
         value = loss.item()
@@ -227,22 +206,24 @@ def _step_halves(model: ArmFormer, replica: ArmFormer, batch: Batch, opt: AdamW)
             loss.backward()
         return value
 
-    parts = zip((model, replica), T._cut(len(batch.labels), HALVES))
+    replica = model.replica() if replica is None else replica
+    parts = zip((model, replica), T._cut(len(batch.labels), HALVES))  # one image: one part
     pairs = list(zip(model.parameters(), replica.parameters()))
     try:
-        value = sum(T.run_whole([partial(half, net, rows) for net, rows in parts]))
+        value = sum(T.run_whole([partial(part, net, rows) for net, rows in parts]))
         if not np.isfinite(value):
-            raise _nonfinite(value, opt)
-    except BaseException:  # a failed step leaves neither half's gradients behind
+            raise TrainingError(f"non-finite loss {value!r} at optimizer step {opt.t + 1}; "
+                                f"check learning rate and input scaling")
+    except BaseException:  # a failed step leaves no part's gradients behind
         for p, r in pairs:
             p.grad = r.grad = None
         raise
-    for p, r in pairs:  # the replica's half added into the model's
-        if p.grad is None:
-            p.grad = r.grad
-        elif r.grad is not None:
-            p.grad += r.grad
+    for p, r in pairs:  # the replica's part, if any, added into the model's
+        if r.grad is not None:
+            p._accumulate(r.grad)
         r.grad = None
+    opt.step()
+    opt.zero_grad()
     return value
 
 

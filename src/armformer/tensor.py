@@ -21,17 +21,18 @@ forward ops run one share per worker (``_split``): add, mul, div, relu, concat a
 the reductions along the result's first axis with an entry per worker (for concat,
 other than the one it joins; pool2d's channels and reduce_channel's map rows at
 batch 1); matmul by batch/head axis, else by rows; bilinear_resize's two products by
-images or channels; conv2d's zero padding by channels.  conv2d's input gradient runs
-one slice of images per worker.  An op stays whole where its largest numpy call
-would move less than ``_SHARE_BYTES`` per worker (a reduction, four times that).
-Where BLAS runs one thread, all of these run on up to ``TILE_WORKERS`` threads.
-``run_whole`` runs several tasks at once on those threads (``model.train_step``
-runs the forward, loss and backward of each half of a batch as one task).  Inside
-a task every op runs whole on the task's thread, its tiles in order, and hands
-nothing to the pool, so a task's bits do not depend on ``TILE_WORKERS``.
-Elementwise, reduction, concat, batch and tile cuts keep every bit at any size; row
-and column cuts of a GEMM with K > 384 (matmul's row shares, conv2d's slabs) are
-checked only on the default model's products at 640 and on the resize cases.
+images or channels; conv2d's zero padding by channels.  An op stays whole where its
+largest numpy call would move less than ``_SHARE_BYTES`` per worker (a reduction,
+four times that).  Where BLAS runs one thread, all of these run on up to
+``TILE_WORKERS`` threads.  The pool serves the ops of forwards run outside
+``model.train_step``, plus the tasks of ``run_whole``, which runs several at once on
+those threads (``train_step`` runs the forward, loss and backward of each part of a
+batch as one task).  Inside a task every op runs whole on the task's thread, its
+tiles in order, and hands nothing to the pool, so a task's bits do not depend on
+``TILE_WORKERS``; no backward splits an op.  Elementwise, reduction, concat, batch
+and tile cuts keep every bit at any size; row and column cuts of a GEMM with K > 384
+(matmul's row shares, conv2d's slabs) are checked only on the default model's
+products at 640 and on the resize cases.
 Backward recomputes what it needs from an op's operands (layer_norm keeps a mean and
 scale per row); only conv2d keeps an intermediate, its window copy, while recording.
 A node's first gradient is copied into a buffer of its own, and an interior node's
@@ -62,8 +63,9 @@ _MAX_WORKERS = 4
 # and write.  Handing a share to the pool and back costs 0.1-0.15 ms on a 2-vCPU
 # host (the interpreter lock changes threads several times); a share of 0.75 MB
 # of an add, or 0.5 MB of a matmul, ran slower split than whole, and one of
-# 1.5 MB or 1 MB faster.  A share of many small calls gains less: CBAM's 7x7
-# input gradient, 49 adds of 64 KB per share, ran 3.4 ms whole and 4.5 ms split.
+# 1.5 MB or 1 MB faster.  A share of many small calls gains less: 49 adds of 64 KB
+# per share (one per tap of a 7x7 conv's input gradient) ran 3.4 ms whole and
+# 4.5 ms split.
 _SHARE_BYTES = 1 << 20
 
 
@@ -390,11 +392,12 @@ def _tiles(n: int, row_bytes: int, align: int = 1, budget: int | None = None) ->
 
 
 def _split(out: np.ndarray, nbytes: int, fill, *operands: np.ndarray, axis: int | None = None,
-           skip: int | None = None) -> np.ndarray:
+           skip: int | None = None, align: int = 1) -> np.ndarray:
     """Call ``fill(part, *operand_parts)`` once per share (``_workers`` of ``nbytes``) of
     ``axis``, by default ``out``'s first axis other than ``skip`` with an entry per
-    worker; return ``out``.  An operand broadcast into ``out`` that does not span that
-    axis (a bias, a per-channel or spatial gate) is passed whole."""
+    worker, cut by ``_cut`` at a multiple of ``align``; return ``out``.  An operand
+    broadcast into ``out`` that does not span that axis (a bias, a per-channel or
+    spatial gate) is passed whole."""
     if axis is None:
         axis = next((i for i, d in enumerate(out.shape) if d >= _width() and i != skip), None)
     pieces = 1 if axis is None else _workers(out.shape[axis], nbytes)
@@ -406,7 +409,7 @@ def _split(out: np.ndarray, nbytes: int, fill, *operands: np.ndarray, axis: int 
         ax = axis - (out.ndim - x.ndim)
         return x if ax < 0 or x.shape[ax] == 1 else x[(slice(None),) * ax + (sl,)]
 
-    _run_tiles(_cut(out.shape[axis], pieces),
+    _run_tiles(_cut(out.shape[axis], pieces, align),
                lambda sl, _: fill(part(out, sl), *(part(x, sl) for x in operands)))
     return out
 
@@ -462,8 +465,8 @@ def div(a, b) -> Tensor:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
-    """``a @ b`` one share per worker: of the first broadcast batch axis with an entry
-    per worker, else of ``a``'s rows, cut by ``_cut`` at a multiple of 16, unless
+    """``a @ b`` one share per worker (``_split``): of the first broadcast batch axis
+    with an entry per worker, else of ``a``'s rows, cut at a multiple of 16, unless
     ``rows`` is False.
 
     Each matrix of a batch is a GEMM of its own, so a batch split keeps every
@@ -473,24 +476,18 @@ def _matmul(a: np.ndarray, b: np.ndarray, rows: bool = True) -> np.ndarray:
     every row's bits those of one whole GEMM on every product of the default
     model at 640, at 2, 3 and 4 workers, but not on every shape: a
     single-channel resize from 333x517 to 640x640 changed bits at 2 workers.
-    So a resize never splits rows.  (``_split`` cannot cut rows: it would cut
-    ``b``'s second-to-last axis, which is K.)
+    So a resize never splits rows.
     """
-    m = a.shape[-2]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, b.shape[-1]))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
     nbytes = a.nbytes + b.nbytes + out.nbytes
     axis = next((i for i, d in enumerate(out.shape[:-2]) if d >= _width()), None)
     if axis is not None:
         return _split(out, nbytes, lambda part, a, b: np.matmul(a, b, out=part), a, b, axis=axis)
-    pieces = _workers(m, nbytes) if rows else 1
-    if pieces == 1:
+    if not rows:
         return np.matmul(a, b, out=out)
-
-    def share(sl, _):
-        np.matmul(a[..., sl, :], b, out=out[..., sl, :])
-
-    _run_tiles(_cut(m, pieces, 16), share)
-    return out
+    # ``b`` is whole in every share: split with the rows, its K axis would be cut
+    return _split(out, nbytes, lambda part, a: np.matmul(a, b, out=part), a,
+                  axis=out.ndim - 2, align=16)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -571,6 +568,8 @@ def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
     over every element when ``axis`` is None.  Split by ``_split`` on an axis it keeps.
     A max gradient splits evenly among ties."""
     reduce = {"sum": np.sum, "avg": np.mean, "max": np.max}[kind]
+    if axis is not None and not all(x.shape[i] for i in axis):
+        raise ShapeError(f"{op} reduces an empty axis of shape {x.shape}")
     shape = () if axis is None else [1 if i in axis else d for i, d in enumerate(x.shape)]
     # a share of a reduction ran slower split up to 1 MB and no faster at 3.3 MB
     data = _split(np.empty(shape), x.data.nbytes // 4,
@@ -680,8 +679,8 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int, scale: float = 1.0) -> Tensor:
     """softmax(scale * x) along ``axis``."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
+    if not -x.ndim <= axis < x.ndim or not x.shape[axis]:
+        raise ShapeError(f"softmax axis {axis} is out of range or empty for shape {x.shape}")
     axis %= x.ndim
     # rows are the index over the axes before ``axis``; each is normalized on
     # its own, so a tile of them is reduced along axis 1
@@ -708,6 +707,8 @@ def softmax(x: Tensor, axis: int, scale: float = 1.0) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (eps 1e-6), then affine."""
     d = x.shape[-1]
+    if not d:
+        raise ShapeError(f"layer_norm over an empty last axis of shape {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     src = x.data.reshape(-1, d)
@@ -775,45 +776,29 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
 def _conv_input_grad(g: np.ndarray, w: np.ndarray, shape, stride: int, padding: int,
                      groups: int) -> np.ndarray:
     """conv2d's gradient for ``x`` of ``shape``: each window's gradient added onto a
-    zeroed padded map tap by tap, in row-major tap order, one slice of images per
-    worker.  A window's gradient is ``w_g^T @ g`` per group; with one output channel
-    per group that is the single product ``w * g``, formed tap by tap."""
+    zeroed padded map tap by tap, in row-major tap order.  A window's gradient is
+    ``w_g^T @ g`` per group; with one output channel per group that is the single
+    product ``w * g``, formed tap by tap."""
     b, cin, h, wd = shape
     cout, cin_g, kh, kw = w.shape
     _, _, oh, ow = g.shape
     dxp = np.zeros((b, cin, h + 2 * padding, wd + 2 * padding))
-    single = cout == groups
-    # a slice's largest call: the window-gradient GEMM, or one tap's add, which reads
-    # a product and a block of dx and writes the block
-    slices = _cut(b, _workers(b, b * cin * oh * ow * dxp.itemsize * (3 if single else kh * kw)))
-    per_slice = slices[0].stop
-    if single:
-        taps = w.reshape(groups, cin_g, kh, kw)
-        gs = g.reshape(b, groups, 1, oh, ow)
-        buf_shape = (per_slice, groups, cin_g, oh, ow)
+    dst = dxp.reshape(b, groups, cin_g, *dxp.shape[2:])
+    if cout == groups:
+        taps, gs = w.reshape(groups, cin_g, kh, kw), g.reshape(b, groups, 1, oh, ow)
+        buf = np.empty((b, groups, cin_g, oh, ow))
+
+        def tap(i, j):
+            return np.multiply(gs, taps[:, :, i, j, None, None], out=buf)
     else:
         w_t = np.swapaxes(w.reshape(groups, cout // groups, cin_g * kh * kw), -1, -2)
-        gg = g.reshape(b, groups, cout // groups, oh * ow)
-        buf_shape = (per_slice, groups, cin_g * kh * kw, oh * ow)
+        dcols = np.matmul(w_t, g.reshape(b, groups, cout // groups, oh * ow))
+        dcols = dcols.reshape(b, groups, cin_g, kh, kw, oh, ow)
 
-    def images(sl, buf):
-        m = sl.stop - sl.start
-        if single:
-            dst = dxp[sl].reshape(m, groups, cin_g, *dxp.shape[2:])
-
-            def tap(i, j):
-                return np.multiply(gs[sl], taps[:, :, i, j, None, None], out=buf[:m])
-        else:
-            dst = dxp[sl]
-            dcols = np.matmul(w_t, gg[sl], out=buf[:m]).reshape(m, cin, kh, kw, oh, ow)
-
-            def tap(i, j):
-                return dcols[:, :, i, j]
-        for i in range(kh):
-            for j in range(kw):
-                dst[..., i:i + stride * oh:stride, j:j + stride * ow:stride] += tap(i, j)
-
-    _run_tiles(slices, images, lambda: np.empty(buf_shape))
+        def tap(i, j):
+            return dcols[:, :, :, i, j]
+    for i, j in np.ndindex(kh, kw):
+        dst[..., i:i + stride * oh:stride, j:j + stride * ow:stride] += tap(i, j)
     return dxp[:, :, padding:padding + h, padding:padding + wd]
 
 
@@ -933,6 +918,8 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError("bilinear_resize expects x[B,C,H,W]")
     if out_h < 1 or out_w < 1:
         raise ShapeError("output size must be >= 1")
+    if not all(x.shape[2:]):
+        raise ShapeError(f"bilinear_resize of an empty map of shape {x.shape}")
     data, wr, wc = _bilinear(x.data, out_h, out_w)
 
     def backward(g):
@@ -955,6 +942,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.shape != logits.shape[:1] + logits.shape[2:]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     n_cls = logits.shape[1]
+    if not labels.size:
+        raise ShapeError(f"cross-entropy over no positions: logits of shape {logits.shape}")
     if labels.min() < 0 or labels.max() >= n_cls:
         raise ContractError(f"labels must lie in [0, {n_cls})")
 

@@ -213,7 +213,8 @@ class TestTraining:
 
 
 class TestSplitStep:
-    """A batch of two or more trains as two halves at once, on the model and a replica."""
+    """A batch trains through ``T.run_whole``: two or more images as two halves at once,
+    on the model and a replica; one image as one part, on the model."""
 
     @pytest.mark.parametrize("b", [2, 3, 8])
     def test_fit_same_bits_at_every_worker_count(self, monkeypatch, b):
@@ -239,7 +240,9 @@ class TestSplitStep:
         monkeypatch.setattr(T, "TILE_WORKERS", 2)
         batch = toy_batch(b=1, seed=3)
         model, twin = ArmFormer(toy_config(seed=6)), ArmFormer(toy_config(seed=6))
-        value = train_step(model, batch, AdamW(list(model.named_parameters())))
+        replica = model.replica()
+        value = train_step(model, batch, AdamW(list(model.named_parameters())), replica)
+        assert all(r.grad is None for r in replica.parameters())
         opt = AdamW(list(twin.named_parameters()))
         loss = cross_entropy(twin(batch.images), batch.labels)
         loss.backward()
@@ -293,16 +296,18 @@ class TestSplitStep:
             assert {id(p) for p in net.parameters()} <= set(graph)
         assert all(r.grad is None for r in replica.parameters())
 
-    def test_half_ops_submit_nothing(self, monkeypatch, submitted):
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_half_ops_submit_nothing(self, monkeypatch, submitted, b):
         monkeypatch.setattr(T, "TILE_WORKERS", 2)
         monkeypatch.setattr(T, "_SHARE_BYTES", 8)
         monkeypatch.setattr(T, "_TILE_BYTES", 1 << 12)
-        model, batch = ArmFormer(toy_config()), toy_batch(b=2)
+        model, batch = ArmFormer(toy_config()), toy_batch(b=b)
         cross_entropy(model(batch.images), batch.labels).backward()
-        assert len(submitted) > 100  # the same ops outside a half split
+        assert len(submitted) > 100  # the same ops outside a part split
         submitted.clear()
         train_step(model, batch, AdamW(list(model.named_parameters())))
-        assert len(submitted) == 1  # the second half, and nothing from inside either half
+        # the second half, if any, and nothing from inside a part
+        assert len(submitted) == b - 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [0, 1])

@@ -624,26 +624,34 @@ class TestKernelContracts:
         ((3, 4, 6, 5), (2, 2, 3, 3), 1, 1, 2),  # one output, two inputs per group
     ], ids=["depthwise3x3", "cbam7x7", "stride2", "stride4", "stride8", "pointwise_g2",
             "cout_g1_cin_g2"])
-    def test_conv_grads_equal_col2im_route(self, monkeypatch, submitted, x_shape, w_shape,
-                                           stride, padding, groups):
+    def test_conv_grads_equal_col2im_route(self, x_shape, w_shape, stride, padding, groups):
         rng = np.random.default_rng(25)
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
         w = Tensor(rng.normal(size=w_shape), requires_grad=True)
         bias = Tensor(rng.normal(size=w_shape[0]), requires_grad=True)
-        monkeypatch.setattr(T, "_SHARE_BYTES", 8)  # a slice of images per worker at any size
-        for workers in (1, 2):
-            monkeypatch.setattr(T, "TILE_WORKERS", workers)
-            for t in (x, w, bias):
-                t.zero_grad()
-            out = T.conv2d(x, w, bias, stride, padding, groups)
-            g = rng.normal(size=out.shape)
-            loss = (out * Tensor(g)).sum()
-            submitted.clear()
-            loss.backward()
-            assert bool(submitted) == (workers > 1)
-            expect = _col2im_conv_grads(x.data, w.data, g, stride, padding, groups)
-            for t, e in zip((x, w, bias), expect):
-                assert _same(t.grad, e), workers
+        out = T.conv2d(x, w, bias, stride, padding, groups)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        expect = _col2im_conv_grads(x.data, w.data, g, stride, padding, groups)
+        for t, e in zip((x, w, bias), expect):
+            assert _same(t.grad, e)
+
+    @pytest.mark.parametrize("op", [
+        lambda: T.softmax(Tensor(np.zeros((3, 0))), axis=-1),
+        lambda: T.layer_norm(Tensor(np.zeros((3, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0))),
+        lambda: T.softmax_cross_entropy(Tensor(np.zeros((0, 6, 2, 2))),
+                                        np.zeros((0, 2, 2), dtype=np.int64)),
+        lambda: T.pool2d(Tensor(np.zeros((1, 2, 0, 3))), "max"),
+        lambda: T.pool2d(Tensor(np.zeros((1, 2, 0, 3))), "avg"),
+        lambda: T.reduce_channel(Tensor(np.zeros((1, 0, 2, 3))), "max"),
+        lambda: T.bilinear_resize(Tensor(np.zeros((1, 1, 0, 3))), 4, 4),
+    ], ids=["softmax", "layer_norm", "cross_entropy", "pool_max", "pool_avg", "reduce_channel",
+            "bilinear_resize"])
+    def test_empty_axis_raises_shape_error(self, op):
+        # zero rows are fine (TestTiles::test_zero_rows_give_empty_results); an empty
+        # axis that an op normalizes, reduces or resamples is not
+        with pytest.raises(ShapeError):
+            op()
 
     @pytest.mark.parametrize("groups", [1, 2])
     def test_pointwise_conv_gradcheck(self, groups):
