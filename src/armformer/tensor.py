@@ -33,11 +33,15 @@ tiles in order, and hands nothing to the pool, so a task's bits do not depend on
 and tile cuts keep every bit at any size; row and column cuts of a GEMM with K > 384
 (matmul's row shares, conv2d's slabs) are checked only on the default model's
 products at 640 and on the resize cases.
+Grad mode and whether ops run whole are each thread's own (``_Context``): ``no_grad``
+stops recording on its thread only, and a ``run_whole`` task starts in its caller's
+grad mode, so a no-grad caller's tasks record nothing.  ``backward()`` raises on a
+tensor that recorded no graph.
 Backward recomputes what it needs from an op's operands (layer_norm keeps a mean and
 scale per row); only conv2d keeps an intermediate, its window copy, while recording.
 A node's first gradient is copied into a buffer of its own, and an interior node's
 is freed once its backward has run.  ``Tensor.sum()`` and ``Tensor.mean()`` reduce
-every element.
+every element; the mean of an empty tensor raises.
 """
 
 from __future__ import annotations
@@ -45,14 +49,13 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, ShapeError
 
-_GRAD_ENABLED = True
 # Bytes of operand one tile of a multi-pass kernel covers: under a core's L2, so
 # each pass after the first over a tile reads cache rather than memory.
 _TILE_BYTES = 1 << 20
@@ -69,28 +72,27 @@ _MAX_WORKERS = 4
 _SHARE_BYTES = 1 << 20
 
 
-class _Whole(threading.local):
-    """Per thread: whether ops run whole on it (inside a ``run_whole`` task)."""
+class _Context(threading.local):
+    """How ops run on one thread: whether they record a graph (``no_grad`` turns it
+    off) and whether they run whole (inside a ``run_whole`` task)."""
 
-    on = False
+    grad = True
+    whole = False
 
 
-_whole = _Whole()
+_ctx = _Context()
 
 
 class no_grad:
-    """Context manager that disables graph recording (inference mode)."""
+    """Context manager that disables graph recording (inference mode) on the calling
+    thread only; ``run_whole`` tasks it starts inherit it."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev, _ctx.grad = _ctx.grad, False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
+        _ctx.grad = self._prev
 
 
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -179,9 +181,12 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.  A tensor that
+        recorded none, a constant or a loss built under ``no_grad``, raises."""
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ContractError("backward() of a tensor that recorded no graph, e.g. under no_grad")
         order: list[Tensor] = []
         seen = {id(self)}
         stack: list[tuple[Tensor, int]] = [(self, 0)]
@@ -240,14 +245,13 @@ def _wrap(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _records(parents: Iterable) -> bool:
+def _records(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` records a graph node (and conv2d keeps its windows)."""
-    return _GRAD_ENABLED and any(isinstance(p, Tensor) and p.requires_grad for p in parents)
+    return _ctx.grad and any(p.requires_grad for p in parents)
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor], op: str, backward) -> Tensor:
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backward) -> Tensor:
     """Assemble an op result, recording the graph only when needed."""
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
     needs = _records(parents)
     out = Tensor(data, requires_grad=needs, _parents=parents if needs else (), _op=op)
     if needs:
@@ -348,15 +352,19 @@ def run_whole(tasks: Sequence[Callable[[], object]]) -> list:
     """Call every task, as many at once as there are tile workers, and return their
     results in order, or raise the error of the first task that failed once every
     task has finished.  The calling thread runs the first task.  Each task's ops run
-    whole on its own thread (``_width``)."""
+    whole on its own thread (``_width``) and records a graph only where the caller's
+    would, so a ``no_grad`` caller's tasks record nothing; each thread gets its own
+    context back when the task ends."""
     results = [None] * len(tasks)
+    grad = _ctx.grad
 
     def task(i, _):
-        was, _whole.on = _whole.on, True
+        was = _ctx.grad, _ctx.whole
+        _ctx.grad, _ctx.whole = grad, True
         try:
             results[i] = tasks[i]()
         finally:
-            _whole.on = was
+            _ctx.grad, _ctx.whole = was
 
     _run_tiles(list(range(len(tasks))), task)
     return results
@@ -365,7 +373,7 @@ def run_whole(tasks: Sequence[Callable[[], object]]) -> list:
 def _width() -> int:
     """Workers an op on this thread may use: ``TILE_WORKERS``, or one in a ``run_whole``
     task."""
-    return 1 if _whole.on else TILE_WORKERS
+    return 1 if _ctx.whole else TILE_WORKERS
 
 
 def _cut(n: int, pieces: int, align: int = 1) -> list[slice]:
@@ -541,7 +549,7 @@ def transpose(x: Tensor, *axes) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Join along ``axis``, split by ``_split`` on another axis."""
-    tensors = [_wrap(t) for t in tensors]
+    tensors = tuple(_wrap(t) for t in tensors)
     parts = [t.data for t in tensors]
     ndim = parts[0].ndim
     if not -ndim <= axis < ndim:
@@ -566,9 +574,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def _reduce(x: Tensor, kind: str, axis, op: str) -> Tensor:
     """Sum, mean (``"avg"``) or max over the ``axis`` tuple, kept as size 1; to a scalar
     over every element when ``axis`` is None.  Split by ``_split`` on an axis it keeps.
-    A max gradient splits evenly among ties."""
+    A max gradient splits evenly among ties.  A sum over no elements is 0; a mean or
+    max over none raises."""
     reduce = {"sum": np.sum, "avg": np.mean, "max": np.max}[kind]
-    if axis is not None and not all(x.shape[i] for i in axis):
+    if kind != "sum" and 0 in (x.shape if axis is None else [x.shape[i] for i in axis]):
         raise ShapeError(f"{op} reduces an empty axis of shape {x.shape}")
     shape = () if axis is None else [1 if i in axis else d for i, d in enumerate(x.shape)]
     # a share of a reduction ran slower split up to 1 MB and no faster at 3.3 MB
@@ -837,7 +846,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     tiles = _tiles(oh, row_bytes, 16 // math.gcd(ow, 16), budget)
     # Recording keeps every window for backward: copying them again there cut
     # train-128's peak RSS 416 -> 371 MB but cost 6-15% of its p50 latency.
-    keep = _records((x, w, bias))
+    parents = (x, w) if bias is None else (x, w, bias)
+    keep = _records(parents)
     store = cols if pointwise else np.empty(cols.shape) if keep else None
 
     def slab(item, buf):
@@ -866,7 +876,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         if x.requires_grad:
             x._accumulate(_conv_input_grad(g, w.data, x.shape, stride, padding, groups))
 
-    parents = (x, w) if bias is None else (x, w, bias)
     return _make(out, parents, "conv2d", backward)
 
 

@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from armformer import tensor as T
 from armformer.data import synth_dataset
 from armformer.errors import ContractError, ShapeError
 from armformer.gradcheck import grad_check
+from armformer.model import TrainSchedule, fit
 from armformer.tensor import Tensor
 
 
@@ -645,8 +648,9 @@ class TestKernelContracts:
         lambda: T.pool2d(Tensor(np.zeros((1, 2, 0, 3))), "avg"),
         lambda: T.reduce_channel(Tensor(np.zeros((1, 0, 2, 3))), "max"),
         lambda: T.bilinear_resize(Tensor(np.zeros((1, 1, 0, 3))), 4, 4),
+        lambda: Tensor(np.zeros((0, 3))).mean(),
     ], ids=["softmax", "layer_norm", "cross_entropy", "pool_max", "pool_avg", "reduce_channel",
-            "bilinear_resize"])
+            "bilinear_resize", "mean"])
     def test_empty_axis_raises_shape_error(self, op):
         # zero rows are fine (TestTiles::test_zero_rows_give_empty_results); an empty
         # axis that an op normalizes, reduces or resamples is not
@@ -1015,3 +1019,116 @@ class TestWorkers:
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "1", "1"]
+
+
+# ----------------------------------------------------------------------
+# per-thread execution context
+# ----------------------------------------------------------------------
+
+def _recording():
+    """Whether an op on a requires-grad input records a graph node on this thread."""
+    return (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+
+
+def _on_threads(*scripts):
+    """Each script's result, each run on a thread of its own."""
+    with ThreadPoolExecutor(len(scripts)) as pool:
+        futures = [pool.submit(script) for script in scripts]
+        return [future.result(timeout=10) for future in futures]
+
+
+class TestContext:
+    """Grad mode and whether ops run whole are each thread's own."""
+
+    def test_interleaved_no_grad_exits_leave_grad_on(self):
+        # A enters, B enters, A exits, B exits: with one flag for both threads, B's
+        # exit would restore the off it saw on entering
+        a_in, b_in, a_out, b_out = (threading.Event() for _ in range(4))
+
+        def a():
+            with T.no_grad():
+                a_in.set()
+                assert b_in.wait(5)
+            a_out.set()
+            assert b_out.wait(5)
+            return _recording()
+
+        def b():
+            assert a_in.wait(5)
+            with T.no_grad():
+                b_in.set()
+                assert a_out.wait(5)
+            b_out.set()
+            return _recording()
+
+        assert _on_threads(a, b) == [True, True]
+        assert _recording()
+
+    def test_no_grad_held_on_one_thread_leaves_another_recording(self):
+        held, done = threading.Event(), threading.Event()
+
+        def hold():
+            with T.no_grad():
+                held.set()
+                assert done.wait(5)
+                return _recording()
+
+        def record():
+            assert held.wait(5)
+            try:
+                return _recording()
+            finally:
+                done.set()
+
+        assert _on_threads(hold, record) == [False, True]
+
+    def test_run_whole_tasks_of_a_no_grad_caller_record_nothing(self, monkeypatch):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        started = threading.Event()
+
+        def first():  # the calling thread's; it waits until the pool runs the second
+            assert started.wait(5)
+            return threading.get_ident(), T._ctx.whole, _recording()
+
+        def second():
+            started.set()
+            return threading.get_ident(), T._ctx.whole, _recording()
+
+        with T.no_grad():
+            (a, *ran_a), (b, *ran_b) = T.run_whole([first, second])
+            assert not _recording() and not T._ctx.whole
+        assert a == threading.get_ident() != b
+        assert ran_a == ran_b == [True, False]
+        assert _recording()
+        assert T.run_whole([_recording, _recording]) == [True, True]
+
+    def test_backward_of_unrecorded_loss_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            loss = (x * x).sum()
+        for unrecorded in (loss, Tensor([3.0]).sum()):
+            with pytest.raises(ContractError, match="recorded no graph"):
+                unrecorded.backward()
+        assert x.grad is None
+
+    def test_fit_after_predict_pairs_changes_weights(self, monkeypatch):
+        monkeypatch.setattr(T, "TILE_WORKERS", 2)
+        data, sched = synth_dataset(36, 4, 32), TrainSchedule(steps=2, batch_size=2)
+        twin = ArmFormer(ModelConfig.reduced(32))
+        trained = fit(twin, data, sched)  # before any predict pair
+        model = ArmFormer(ModelConfig.reduced(32))
+        before = [p.data.copy() for p in model.parameters()]
+        replica = model.replica()
+        image = Tensor(data[0][0][None])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the tasks' threads trade the interpreter often
+        try:
+            for _ in range(10):
+                T.run_whole([partial(net.predict, image) for net in (model, replica)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert _recording()
+        assert fit(model, data, sched) == trained
+        assert trained[0].loss != trained[1].loss
+        assert all(_same(p.data, q.data) for p, q in zip(model.parameters(), twin.parameters()))
+        assert not all(_same(b, p.data) for b, p in zip(before, model.parameters()))
