@@ -185,43 +185,36 @@ def make_batch(samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> Batch:
 HALVES = 2
 
 
-def train_step(model: ArmFormer, batch: Batch, opt: AdamW,
-               replica: ArmFormer | None = None) -> float:
+def train_step(model: ArmFormer, batch: Batch, opt: AdamW) -> float:
     """One AdamW step on ``batch``; returns its mean pixel loss.
 
     The batch is cut into at most ``HALVES`` parts that run forward, loss and
-    backward at once (``T.run_whole``), each with every op whole on its thread: the
-    first on ``model``, on the calling thread, the second on ``replica``, a
-    ``model.replica()`` (made here when not given) that shares its weight arrays.
-    Each part's loss is weighted by its share of the pixels, the replica's gradients
-    are added into the model's, and AdamW steps once.
+    backward on ``model`` at once (``T.run_whole``), each with every op whole on its
+    thread, the first on the calling thread.  Each part's loss is weighted by its
+    share of the pixels, and each part keeps its parameter gradients in a dict of
+    its own (``T._ctx.leaf_grads``) that it returns with its loss.  Once the summed
+    loss is finite, the parts' gradients are added into ``.grad`` in part order and
+    AdamW steps once; a failed step sets no ``.grad``.
     """
     pixels = batch.labels.size
 
-    def part(net: ArmFormer, rows: slice) -> float:
+    def part(rows: slice) -> tuple[float, dict]:
+        T._ctx.leaf_grads = grads = {}
         labels = batch.labels[rows]
-        loss = cross_entropy(net(Tensor(batch.images.data[rows])), labels) * (labels.size / pixels)
+        loss = cross_entropy(model(Tensor(batch.images.data[rows])), labels) * (labels.size / pixels)
         value = loss.item()
         if np.isfinite(value):
             loss.backward()
-        return value
+        return value, grads
 
-    replica = model.replica() if replica is None else replica
-    parts = zip((model, replica), T._cut(len(batch.labels), HALVES))  # one image: one part
-    pairs = list(zip(model.parameters(), replica.parameters()))
-    try:
-        value = sum(T.run_whole([partial(part, net, rows) for net, rows in parts]))
-        if not np.isfinite(value):
-            raise TrainingError(f"non-finite loss {value!r} at optimizer step {opt.t + 1}; "
-                                f"check learning rate and input scaling")
-    except BaseException:  # a failed step leaves no part's gradients behind
-        for p, r in pairs:
-            p.grad = r.grad = None
-        raise
-    for p, r in pairs:  # the replica's part, if any, added into the model's
-        if r.grad is not None:
-            p._accumulate(r.grad)
-        r.grad = None
+    parts = T.run_whole([partial(part, rows) for rows in T._cut(len(batch.labels), HALVES)])
+    value = sum(v for v, _ in parts)
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite loss {value!r} at optimizer step {opt.t + 1}; "
+                            f"check learning rate and input scaling")
+    for _, grads in parts:
+        for p, g in grads.items():
+            p._accumulate(g)
     opt.step()
     opt.zero_grad()
     return value
@@ -247,7 +240,6 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
         raise DataError("dataset is empty")
     opt = AdamW([(n, p) for n, p in model.named_parameters()],
                 lr=sched.lr, weight_decay=sched.weight_decay)
-    replica = model.replica()  # AdamW updates the shared weight arrays in place
     rng = np.random.default_rng(sched.seed)
     order: list[int] = []
     history: list[HistoryEntry] = []
@@ -255,7 +247,7 @@ def fit(model: ArmFormer, data: Sequence[tuple[np.ndarray, np.ndarray]],
         while len(order) < sched.batch_size:
             order.extend(rng.permutation(len(data)).tolist())
         idx, order = order[:sched.batch_size], order[sched.batch_size:]
-        loss = train_step(model, make_batch([data[i] for i in idx]), opt, replica)
+        loss = train_step(model, make_batch([data[i] for i in idx]), opt)
         metrics = None
         due = sched.eval_every and (step % sched.eval_every == 0 or step == sched.steps)
         if eval_fn is not None and due:

@@ -7,14 +7,11 @@ is prefixed ``name.i.``), skipping ``_``-prefixed names.  That gives every
 model a stable, named parameter table — the basis for checkpointing, the
 optimizer and the profiler.  Layers draw their initial weights from an
 explicitly passed ``numpy.random.Generator`` so that model construction is a
-pure function of the seed.  ``replica`` copies a tree around the same weight
-arrays, so that two graphs can train at once on one set of weights
-(``model.train_step``).
+pure function of the seed.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Iterator
 
 import numpy as np
@@ -35,19 +32,6 @@ class Module:
             elif isinstance(v, (list, tuple)) and all(isinstance(m, Module) for m in v):
                 for i, m in enumerate(v):
                     yield from m.named_parameters(f"{prefix}{name}.{i}.")
-
-    def replica(self) -> "Module":
-        """A copy of this module tree whose parameters wrap the same weight arrays, not
-        copies, each with a ``.grad`` of its own; every other attribute is shared."""
-        twin = copy.copy(self)
-        for name, v in vars(self).items():
-            if isinstance(v, Tensor) and v.requires_grad:
-                setattr(twin, name, Tensor(v.data, requires_grad=True))
-            elif isinstance(v, Module):
-                setattr(twin, name, v.replica())
-            elif isinstance(v, (list, tuple)) and all(isinstance(m, Module) for m in v):
-                setattr(twin, name, type(v)(m.replica() for m in v))
-        return twin
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]

@@ -3,7 +3,8 @@
 Every value flowing through the model is a ``Tensor`` wrapping a C-ordered
 float64 numpy array.  Operations record parent links and a backward closure;
 ``Tensor.backward()`` topologically sorts the implicit graph and visits each
-node exactly once, accumulating gradients into ``.grad`` buffers.
+node exactly once, accumulating gradients into ``.grad`` buffers (a leaf's, on a
+thread whose context holds a leaf-gradient dict, into that dict).
 
 Conventions fixed here (and relied on by the tests):
 
@@ -33,10 +34,13 @@ tiles in order, and hands nothing to the pool, so a task's bits do not depend on
 and tile cuts keep every bit at any size; row and column cuts of a GEMM with K > 384
 (matmul's row shares, conv2d's slabs) are checked only on the default model's
 products at 640 and on the resize cases.
-Grad mode and whether ops run whole are each thread's own (``_Context``): ``no_grad``
-stops recording on its thread only, and a ``run_whole`` task starts in its caller's
-grad mode, so a no-grad caller's tasks record nothing.  ``backward()`` raises on a
-tensor that recorded no graph.
+Grad mode, whether ops run whole and where leaf gradients go are each thread's own
+(``_Context``): ``no_grad`` stops recording on its thread only, and a ``run_whole``
+task starts in its caller's grad mode, so a no-grad caller's tasks record nothing.
+The parts of one training step run on one model at once; each keeps its parameters'
+gradients in its own thread's dict, and ``model.train_step`` adds them into ``.grad``
+once every part has finished.  ``backward()`` raises on a tensor that recorded no
+graph.
 Backward recomputes what it needs from an op's operands (layer_norm keeps a mean and
 scale per row); only conv2d keeps an intermediate, its window copy, while recording.
 A node's first gradient is copied into a buffer of its own, and an interior node's
@@ -46,6 +50,7 @@ every element; the mean of an empty tensor raises.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -74,25 +79,27 @@ _SHARE_BYTES = 1 << 20
 
 class _Context(threading.local):
     """How ops run on one thread: whether they record a graph (``no_grad`` turns it
-    off) and whether they run whole (inside a ``run_whole`` task)."""
+    off), whether they run whole (inside a ``run_whole`` task), and where a leaf's
+    gradient goes: its ``.grad``, or, while ``leaf_grads`` is a dict, that dict,
+    keyed by the leaf (each part of ``model.train_step`` sets its own)."""
 
     grad = True
     whole = False
+    leaf_grads: dict | None = None
 
 
 _ctx = _Context()
 
 
-class no_grad:
-    """Context manager that disables graph recording (inference mode) on the calling
-    thread only; ``run_whole`` tasks it starts inherit it."""
-
-    def __enter__(self):
-        self._prev, _ctx.grad = _ctx.grad, False
-        return self
-
-    def __exit__(self, *exc):
-        _ctx.grad = self._prev
+@contextlib.contextmanager
+def no_grad():
+    """Disable graph recording (inference mode) on the calling thread only, until
+    the block exits; ``run_whole`` tasks it starts inherit it."""
+    was, _ctx.grad = _ctx.grad, False
+    try:
+        yield
+    finally:
+        _ctx.grad = was
 
 
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -173,12 +180,18 @@ class Tensor:
     # ------------------------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # copied, so no .grad is a view of an operand or of another gradient
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+        held = _ctx.leaf_grads if not self._parents else None
+        grad = self.grad if held is None else held.get(self)
+        if grad is None:
+            # copied, so no gradient is a view of an operand or of another gradient
+            grad = np.empty_like(self.data)
+            np.copyto(grad, g)
         else:
-            self.grad += g
+            grad += g
+        if held is None:
+            self.grad = grad
+        else:
+            held[self] = grad
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.  A tensor that
@@ -353,18 +366,19 @@ def run_whole(tasks: Sequence[Callable[[], object]]) -> list:
     results in order, or raise the error of the first task that failed once every
     task has finished.  The calling thread runs the first task.  Each task's ops run
     whole on its own thread (``_width``) and records a graph only where the caller's
-    would, so a ``no_grad`` caller's tasks record nothing; each thread gets its own
-    context back when the task ends."""
+    would, so a ``no_grad`` caller's tasks record nothing.  A task starts with no
+    leaf-gradient dict, and each thread gets its whole context back when the task
+    ends."""
     results = [None] * len(tasks)
     grad = _ctx.grad
 
     def task(i, _):
-        was = _ctx.grad, _ctx.whole
-        _ctx.grad, _ctx.whole = grad, True
+        was = _ctx.grad, _ctx.whole, _ctx.leaf_grads
+        _ctx.grad, _ctx.whole, _ctx.leaf_grads = grad, True, None
         try:
             results[i] = tasks[i]()
         finally:
-            _ctx.grad, _ctx.whole = was
+            _ctx.grad, _ctx.whole, _ctx.leaf_grads = was
 
     _run_tiles(list(range(len(tasks))), task)
     return results

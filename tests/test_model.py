@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from armformer import model as M
 from armformer import tensor as T
 from armformer.data import synth_dataset
 from armformer.decoder import HamConfig
+from armformer.encoder import MitEncoder
 from armformer.errors import (CheckpointError, ConfigError, ContractError,
                               DataError, TrainingError)
 from armformer.model import (AdamW, ArmFormer, ModelConfig, TrainSchedule,
@@ -213,8 +215,8 @@ class TestTraining:
 
 
 class TestSplitStep:
-    """A batch trains through ``T.run_whole``: two or more images as two halves at once,
-    on the model and a replica; one image as one part, on the model."""
+    """A batch trains through ``T.run_whole`` on the model: two or more images as two
+    halves at once, one image as one part."""
 
     @pytest.mark.parametrize("b", [2, 3, 8])
     def test_fit_same_bits_at_every_worker_count(self, monkeypatch, b):
@@ -240,9 +242,7 @@ class TestSplitStep:
         monkeypatch.setattr(T, "TILE_WORKERS", 2)
         batch = toy_batch(b=1, seed=3)
         model, twin = ArmFormer(toy_config(seed=6)), ArmFormer(toy_config(seed=6))
-        replica = model.replica()
-        value = train_step(model, batch, AdamW(list(model.named_parameters())), replica)
-        assert all(r.grad is None for r in replica.parameters())
+        value = train_step(model, batch, AdamW(list(model.named_parameters())))
         opt = AdamW(list(twin.named_parameters()))
         loss = cross_entropy(twin(batch.images), batch.labels)
         loss.backward()
@@ -269,20 +269,33 @@ class TestSplitStep:
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
 
     def test_halves_share_weight_arrays_and_no_tensor(self, monkeypatch):
-        logits = []
+        # both halves run on the model: their graphs share its parameter tensors and no
+        # other tensor, and no .grad is set until run_whole has returned
+        logits, unset, run_whole = [], [], T.run_whole
+        model = ArmFormer(toy_config())
 
         def spy(out, labels):
             logits.append(out)
             return cross_entropy(out, labels)
 
+        def after(task):  # on the part's thread, once its backward has run
+            result = task()
+            unset.append(all(p.grad is None for p in model.parameters()))
+            return result
+
+        def watched(tasks):
+            results = run_whole([partial(after, task) for task in tasks])
+            unset.append(all(p.grad is None for p in model.parameters()))
+            return results
+
         monkeypatch.setattr(M, "cross_entropy", spy)
-        model = ArmFormer(toy_config())
-        replica = model.replica()
-        for p, r in zip(model.parameters(), replica.parameters()):
-            assert p is not r and p.data is r.data
-        train_step(model, toy_batch(b=3), AdamW(list(model.named_parameters())), replica)
+        monkeypatch.setattr(T, "run_whole", watched)
+        monkeypatch.setattr(AdamW, "step", lambda opt: unset.append(
+            any(p.grad is None for _, p in opt.params)))
+        train_step(model, toy_batch(b=3), AdamW(list(model.named_parameters())))
+        assert unset == [True, True, True, False]
         graphs = []
-        for out in sorted(logits, key=lambda t: -t.shape[0]):  # the model's half first
+        for out in sorted(logits, key=lambda t: -t.shape[0]):  # the first half first
             seen, stack = {id(out): out}, [out]
             while stack:
                 for parent in stack.pop()._parents:
@@ -291,10 +304,7 @@ class TestSplitStep:
                         stack.append(parent)
             graphs.append(seen)
         assert sorted(t.shape[0] for t in logits) == [1, 2]
-        assert not set(graphs[0]) & set(graphs[1])
-        for net, graph in zip((model, replica), graphs):
-            assert {id(p) for p in net.parameters()} <= set(graph)
-        assert all(r.grad is None for r in replica.parameters())
+        assert set(graphs[0]) & set(graphs[1]) == {id(p) for p in model.parameters()}
 
     @pytest.mark.parametrize("b", [1, 2])
     def test_half_ops_submit_nothing(self, monkeypatch, submitted, b):
@@ -323,20 +333,19 @@ class TestSplitStep:
         monkeypatch.setattr(T, "TILE_WORKERS", 2)
         model = ArmFormer(toy_config())
         opt = AdamW(list(model.named_parameters()))
-        replica = model.replica()
-        started, encoder = threading.Event(), model.encoder
+        started, encode = threading.Event(), MitEncoder.__call__
 
-        def failing(images):  # the replica's half, which the pool runs
-            started.set()
-            raise ValueError(f"half on {threading.current_thread().name} failed")
+        def encode_or_fail(encoder, images):
+            name = threading.current_thread().name
+            if name.startswith("armformer-tiles"):  # the half the pool runs
+                started.set()
+                raise ValueError(f"half on {name} failed")
+            assert started.wait(timeout=30)  # the half on the calling thread
+            return encode(encoder, images)
 
-        def waiting(images):  # the model's half, on the calling thread
-            assert started.wait(timeout=30)
-            return encoder(images)
-
-        replica.encoder, model.encoder = failing, waiting
+        monkeypatch.setattr(MitEncoder, "__call__", encode_or_fail)
         with pytest.raises(ValueError, match="half on armformer-tiles.* failed"):
-            train_step(model, toy_batch(b=2), opt, replica)
+            train_step(model, toy_batch(b=2), opt)
         assert opt.t == 0 and all(p.grad is None for p in model.parameters())
 
 

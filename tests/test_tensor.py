@@ -1102,6 +1102,27 @@ class TestContext:
         assert _recording()
         assert T.run_whole([_recording, _recording]) == [True, True]
 
+    def test_reentered_no_grad_raises_and_leaves_grad_on(self):
+        ng = T.no_grad()
+        with pytest.raises(AttributeError):
+            with ng:
+                with ng:
+                    pass
+        assert _recording()
+
+    def test_part_keeps_leaf_gradients_in_its_context(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def part():
+            T._ctx.leaf_grads = grads = {}
+            (x * x).sum().backward()
+            return grads, x.grad
+
+        [(grads, x_grad)] = T.run_whole([part])
+        assert list(grads) == [x] and np.array_equal(grads[x], [2.0, 4.0])
+        assert x_grad is None and x.grad is None
+        assert T._ctx.leaf_grads is None
+
     def test_backward_of_unrecorded_loss_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
@@ -1118,13 +1139,12 @@ class TestContext:
         trained = fit(twin, data, sched)  # before any predict pair
         model = ArmFormer(ModelConfig.reduced(32))
         before = [p.data.copy() for p in model.parameters()]
-        replica = model.replica()
         image = Tensor(data[0][0][None])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # the tasks' threads trade the interpreter often
         try:
             for _ in range(10):
-                T.run_whole([partial(net.predict, image) for net in (model, replica)])
+                T.run_whole([partial(net.predict, image) for net in (model, model)])
         finally:
             sys.setswitchinterval(interval)
         assert _recording()
